@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .graph import (Graph, VertexSet, GraphError, EdgeListParseError,
                     UndefinedConductanceError, load_edge_list, load_cache,
                     save_cache, volume, boundary_size, conductance, stationary)
-from .mpc import (Cluster, ClusterConfig, CapacityError, Msg, assign_machine)
+from .mpc import (Cluster, ClusterConfig, CapacityError, assign_machine)
 from .engine import (StitchParams, BudgetTable, WalkStore, StitchFailure,
                      EngineError, ParameterError, theory_params, desk_params,
                      initial_budgets, init_walks, stitch, update_budgets,

@@ -237,16 +237,14 @@ def cmd_walks(args) -> int:
 
     if args.root is None:
         raise UsageError("need --root (or --budgets for multi-source)")
-    run = run_budgeted(g, args.root, params, cluster=cluster, seed=args.seed)
+    run = run_budgeted(g, args.root, params, cluster=cluster, seed=args.seed,
+                       keep_history=bool(args.dump_budgets))
     wall = time.perf_counter() - t0
     if args.out:
         write_walk_file(args.out, run)
     if args.dump_budgets:
-        # budgets of the final cycle, recomputed for the dump
-        rerun = run_budgeted(g, args.root, params, cluster=Cluster(cluster.cfg),
-                             seed=args.seed, keep_history=True)
         with open(args.dump_budgets, "w") as f:
-            for line in rerun.budget_history[-1].csv_lines():
+            for line in run.budget_history[-1].csv_lines():
                 f.write(line + "\n")
     if args.csv:
         _write_csv(args.csv,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -300,40 +301,97 @@ def init_walks(g: Graph, budgets: BudgetTable, params: StitchParams,
 
 @dataclass
 class StitchResult:
-    """Finished label-1 walks for every start vertex, plus failure log."""
+    """Label-1 walks of one stitch pass, held as an index tree.
 
-    verts: np.ndarray                 # (K, length+1), all first-label 1
+    Level 0 is the length-1 segments of init_walks, given by their endpoints
+    leaf_start and leaf_end. Phase j joins pairs of level j-1 segments into
+    level j segments; levels[j-1] holds the two child-index arrays of that
+    phase: the requester ids (left halves) and the server ids (right halves)
+    of every served request, in serving order. The finished walks are the
+    segments of the last level, row i starting at starts[i]. Walks are built
+    only for the rows asked for (`walks`); `verts` builds all of them on first
+    access.
+
+    failed lists, per phase, the label-1 requesters whose request went
+    unserved: (phase, their segment ids at level phase-1, their start
+    vertices). `failed_chunks` builds their prefixes.
+    """
+
+    leaf_start: np.ndarray            # (S,) int32
+    leaf_end: np.ndarray              # (S,) int32
+    levels: List[Tuple[np.ndarray, np.ndarray]]   # per phase, int32 child ids
+    starts: np.ndarray                # (K,) start vertex of each finished walk
     cycle: int
     attempted_first: np.ndarray       # per-vertex count of label-1 segments created
-    failed_chunks: List[Tuple[int, np.ndarray]] = field(default_factory=list)
+    failed: List[Tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
     served: int = 0
-    removed: int = 0
 
-    def walks_from(self, v: int) -> np.ndarray:
-        return self.verts[self.verts[:, 0] == v]
+    def leaf_ids(self, rows: np.ndarray, level: int | None = None) -> np.ndarray:
+        """Leaf segment ids under segments `rows` of `level` (default: the
+        finished walks), left to right: shape (len(rows), 2**level). One
+        vectorised gather per level."""
+        level = len(self.levels) if level is None else level
+        ids = np.asarray(rows, dtype=np.int64)[:, None]
+        for left, right in reversed(self.levels[:level]):
+            ids = np.stack([left[ids], right[ids]], axis=2).reshape(
+                ids.shape[0], 2 * ids.shape[1])
+        return ids
 
-    def failed_count_from(self, roots: Sequence[int]) -> int:
-        roots_arr = np.asarray(list(roots))
-        return sum(int(np.isin(chunk[:, 0], roots_arr).sum())
-                   for _, chunk in self.failed_chunks)
+    def walks(self, rows: np.ndarray, level: int | None = None) -> np.ndarray:
+        """Vertex sequences of segments `rows` of `level` (default: the
+        finished walks), shape (len(rows), 2**level + 1)."""
+        ids = self.leaf_ids(rows, level)
+        return np.concatenate([self.leaf_start[ids], self.leaf_end[ids[:, -1:]]], axis=1)
+
+    @cached_property
+    def verts(self) -> np.ndarray:
+        """All finished walks, (K, length+1), in row order."""
+        return self.walks(np.arange(self.starts.size))
+
+    @cached_property
+    def failed_chunks(self) -> List[Tuple[int, np.ndarray]]:
+        """(phase, failed label-1 prefixes of length 2**(phase-1))."""
+        return [(phase, self.walks(ids, phase - 1)) for phase, ids, _ in self.failed]
+
+    def reorder(self, order: np.ndarray) -> None:
+        """Make row i of the finished walks the former row order[i]."""
+        if self.levels:
+            self.levels[-1] = tuple(a[order] for a in self.levels[-1])
+        else:
+            self.leaf_start, self.leaf_end = self.leaf_start[order], self.leaf_end[order]
+        self.starts = self.starts[order]
+        self.__dict__.pop("verts", None)
 
 
 def stitch(g: Graph, budgets: BudgetTable, params: StitchParams, cluster: Cluster,
            master_seed: int, cycle: int = 1) -> StitchResult:
     """One full doubling pass: init segments, then log2(length) phases.
 
-    Each phase costs two supersteps (requests, then replies). Serving draws
-    distinct uniform segments via the serving vertex's substream; when a
+    A segment is carried as its start vertex, end vertex and first label
+    only. In each phase every requester asks the vertex at its end for a
+    segment, the serving vertex answers with a distinct uniform segment from
+    its stock (drawn via its substream), and each served pair becomes one
+    segment of the next level, recorded as a pair of child indices. When a
     stock is short, fail_policy decides between aborting the run and
     dropping the unserved walks (which are logged if they carry label 1).
 
-    Message words: a request is 3 words, a reply carrying a length-s segment
-    is s+4 words (s+1 vertices, first label, cycle tag, requester segment id).
+    Each phase costs two supersteps (requests, then replies). Message words:
+    a request is 3 words; a reply for a length-s segment is s+4 words (s+1
+    vertices, first label, cycle tag, requester segment id). The reply size
+    is what the modelled cluster would ship; the simulation itself moves
+    only indices.
     """
     store = init_walks(g, budgets, params, master_seed, cycle)
-    verts, labels = store.verts, store.labels
-    attempted_first = np.bincount(verts[labels == 1, 0], minlength=g.n)
-    failed_chunks: List[Tuple[int, np.ndarray]] = []
+    labels = store.labels
+    if labels.size > np.iinfo(np.int32).max:
+        raise EngineError(f"{labels.size} segments exceed the int32 segment index")
+    leaf_start = np.ascontiguousarray(store.verts[:, 0])
+    leaf_end = np.ascontiguousarray(store.verts[:, 1])
+    del store
+    start, end = leaf_start, leaf_end
+    attempted_first = np.bincount(start[labels == 1], minlength=g.n)
+    levels: List[Tuple[np.ndarray, np.ndarray]] = []
+    failed: List[Tuple[int, np.ndarray, np.ndarray]] = []
     served_total = 0
     key_span = params.length + 1
     phases = params.length.bit_length() - 1
@@ -344,28 +402,34 @@ def stitch(g: Graph, budgets: BudgetTable, params: StitchParams, cluster: Cluste
         lab_mod = labels % two_s
         req_idx = np.flatnonzero(lab_mod == 1)
         srv_idx = np.flatnonzero(lab_mod == (s + 1) % two_s)
+        # temporaries are dropped as soon as they are used: with full rows
+        # gone, they set the peak memory of a phase
+        del lab_mod
 
-        dest = verts[req_idx, -1].astype(np.int64)
-        sender = verts[req_idx, 0].astype(np.int64)
+        dest = end[req_idx].astype(np.int64)
+        sender = start[req_idx].astype(np.int64)
         cluster.exchange_bulk(dest, sender, words=3, kind=KIND_REQUEST)
 
         if params.mode == "theory":
             req_key = dest * key_span + (labels[req_idx].astype(np.int64) + s)
-            srv_key = verts[srv_idx, 0].astype(np.int64) * key_span \
+            srv_key = start[srv_idx].astype(np.int64) * key_span \
                 + labels[srv_idx].astype(np.int64)
         else:
             req_key = dest
-            srv_key = verts[srv_idx, 0].astype(np.int64)
+            srv_key = start[srv_idx].astype(np.int64)
 
         # canonical serving order: key, then sender, then submission order
         req_order = np.lexsort((req_idx, sender, req_key))
+        del sender, dest
         req_sorted = req_idx[req_order]
         rkeys, rstarts, rcounts = np.unique(req_key[req_order],
                                             return_index=True, return_counts=True)
+        del req_order, req_key
         srv_order = np.lexsort((srv_idx, srv_key))
         srv_sorted = srv_idx[srv_order]
         skeys, sstarts, scounts = np.unique(srv_key[srv_order],
                                             return_index=True, return_counts=True)
+        del srv_order, srv_key
         spos = np.searchsorted(skeys, rkeys)
 
         served_req_parts: List[np.ndarray] = []
@@ -411,25 +475,25 @@ def stitch(g: Graph, budgets: BudgetTable, params: StitchParams, cluster: Cluste
             served_req = np.empty(0, dtype=np.int64)
             served_srv = np.empty(0, dtype=np.int64)
 
-        cluster.exchange_bulk(verts[served_req, 0].astype(np.int64),
-                              verts[served_srv, 0].astype(np.int64),
+        cluster.exchange_bulk(start[served_req], start[served_srv],
                               words=s + 4, kind=KIND_REPLY)
 
         if failed_parts:
             failed_req = np.concatenate(failed_parts)
             first_label = failed_req[labels[failed_req] == 1]
             if first_label.size:
-                failed_chunks.append((phase, verts[first_label].copy()))
+                failed.append((phase, first_label.astype(np.int32), start[first_label]))
 
-        assert np.array_equal(verts[served_req, -1], verts[served_srv, 0])
-        verts = np.concatenate([verts[served_req], verts[served_srv][:, 1:]], axis=1)
+        assert np.array_equal(end[served_req], start[served_srv])
+        start, end = start[served_req], end[served_srv]
         labels = labels[served_req]
+        levels.append((served_req.astype(np.int32), served_srv.astype(np.int32)))
         served_total += int(served_req.size)
 
     assert np.all(labels == 1)
-    return StitchResult(verts=verts, cycle=cycle, attempted_first=attempted_first,
-                        failed_chunks=failed_chunks, served=served_total,
-                        removed=served_total)
+    return StitchResult(leaf_start=leaf_start, leaf_end=leaf_end, levels=levels,
+                        starts=start, cycle=cycle, attempted_first=attempted_first,
+                        failed=failed, served=served_total)
 
 
 def cycle_plan(target: int, growth: float) -> Tuple[int, int]:
@@ -538,7 +602,6 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
     stats: List[CycleStats] = []
     history: List[BudgetTable] = []
     rooted_history: List[np.ndarray] = []
-    last_res: StitchResult | None = None
     update_dests = np.flatnonzero(g.degrees > 0).astype(np.int64)
     update_senders = np.full(update_dests.size, int(roots_arr[0]), dtype=np.int64)
 
@@ -550,11 +613,16 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
             res = stitch(g, budgets, params, cluster, seed, cycle=i)
         except StitchFailure as exc:
             raise StitchFailure(exc.vertex, exc.label, exc.phase, exc.deficit, i) from None
-        rooted_mask = np.isin(res.verts[:, 0], roots_arr)
-        rooted = res.verts[rooted_mask]
+        rooted = res.walks(np.flatnonzero(np.isin(res.starts, roots_arr)))
         if keep_history:
             rooted_history.append(rooted.copy())
         attempted = int(res.attempted_first[roots_arr].sum())
+        if i > calib:
+            failed_walks = [(phase, res.walks(ids[np.isin(starts, roots_arr)], phase - 1))
+                            for phase, ids, starts in res.failed]
+            failed_walks = [(p, c) for p, c in failed_walks if c.shape[0]]
+        # the whole tree goes before the next cycle's stitch allocates its own
+        del res
         expo = None
         if i <= calib:
             if rooted.shape[0] == 0:
@@ -567,17 +635,12 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
                                 rooted_attempted=attempted,
                                 rooted_ok=int(rooted.shape[0]),
                                 exponent_used=expo))
-        last_res = res
 
     final = stats[-1]
-    rooted_walks = last_res.verts[np.isin(last_res.verts[:, 0], roots_arr)]
     # store order reflects serving keys (walk midpoints); shuffle so that any
     # prefix of the returned walks is an unbiased uniform subsample
     shuffle = substream(seed, SHUFFLE_STREAM, calib + 1)
-    rooted_walks = rooted_walks[shuffle.permutation(rooted_walks.shape[0])]
-    failed_walks = [(phase, chunk[np.isin(chunk[:, 0], roots_arr)])
-                    for phase, chunk in last_res.failed_chunks]
-    failed_walks = [(p, c) for p, c in failed_walks if c.shape[0]]
+    rooted_walks = rooted[shuffle.permutation(rooted.shape[0])]
     report = cluster.report()
     metrics = RunMetrics(
         cycles=calib + 1,
@@ -733,8 +796,9 @@ def uniform_stitching(g: Graph, b0_per_degree: float, length: int,
     run_seed = derive_key(seed, _ENGINE_NS, 0)
     res = stitch(g, budgets, params, cluster, run_seed, cycle=1)
     shuffle = substream(run_seed, SHUFFLE_STREAM, 1)
-    res.verts = res.verts[shuffle.permutation(res.verts.shape[0])]
-    ok_per_vertex = np.bincount(res.verts[:, 0], minlength=g.n)
+    res.reorder(shuffle.permutation(res.starts.size))
+    verts = res.verts  # every walk is returned: build them now, in the shuffled order
+    ok_per_vertex = np.bincount(verts[:, 0], minlength=g.n)
     attempted = int(res.attempted_first.sum())
     ok = int(ok_per_vertex.sum())
     report = cluster.report()

@@ -1,17 +1,17 @@
 """Deterministic simulation of synchronous message-passing over machines.
 
 Vertices are hashed to machines; computation proceeds in supersteps, each a
-compute phase followed by a barrier exchange. The simulator only accounts
-for communication (message and word counts per machine per round); delivery
-order is canonicalized so downstream randomness never depends on arrival
-order. A request+reply pair during stitching costs 2 supersteps and is
-reported as a single "paper round".
+compute phase followed by a barrier exchange. The simulator is a cost model:
+it accounts for communication (message and word counts per receiving machine
+per round) and delivers nothing, so no result can depend on arrival order. A
+request+reply pair during stitching costs 2 supersteps and is reported as a
+single "paper round".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -85,14 +85,6 @@ class RoundLedger:
                      for r in self.rounds)
 
 
-@dataclass(frozen=True)
-class Msg:
-    dest: int
-    sender: int
-    words: int
-    payload: object = None
-
-
 def assign_machine(cfg: ClusterConfig, v: int) -> int:
     """Stable machine for vertex v: splitmix64(v) mod num_machines."""
     if cfg.num_machines == 1:
@@ -117,12 +109,15 @@ class Cluster:
         return (hashed % np.uint64(self.cfg.num_machines)).astype(np.int64)
 
     def exchange_bulk(self, dest: np.ndarray, sender: np.ndarray,
-                      words, kind: str = KIND_OTHER) -> np.ndarray:
-        """Barrier exchange over parallel message arrays.
+                      words, kind: str = KIND_OTHER) -> None:
+        """Account for one barrier exchange over parallel message arrays.
 
-        Returns the canonical delivery permutation: indices sorted by
-        (dest, sender, submission order). Word accounting happens per
-        receiving machine; strict mode raises CapacityError on overflow.
+        dest and sender hold each message's destination and source vertex;
+        words is one word count for every message or an array of per-message
+        counts. Appends one RoundRecord. Loads are charged to the receiving
+        machine only, so sender does not enter the accounting; an overflow is
+        logged as a violation (strict mode raises CapacityError). Nothing is
+        delivered, so there is no delivery order and nothing is returned.
         """
         dest = np.asarray(dest)
         n_msgs = int(dest.size)
@@ -161,24 +156,6 @@ class Cluster:
             if self.cfg.enforce_capacity:
                 raise CapacityError(offender, round_index, max_per_machine,
                                     self.cfg.machine_capacity)
-
-        if n_msgs == 0:
-            return np.empty(0, dtype=np.int64)
-        sender = np.asarray(sender)
-        return np.lexsort((np.arange(n_msgs), sender, dest))
-
-    def exchange(self, outbox: Sequence[Msg]) -> Dict[int, List[Msg]]:
-        """Object-level exchange; groups the inbox by destination vertex in
-        canonical (sender, sequence-number) order."""
-        dest = np.array([m.dest for m in outbox], dtype=np.int64)
-        sender = np.array([m.sender for m in outbox], dtype=np.int64)
-        words = np.array([m.words for m in outbox], dtype=np.int64)
-        order = self.exchange_bulk(dest, sender, words if outbox else 0)
-        inbox: Dict[int, List[Msg]] = {}
-        for i in order:
-            msg = outbox[int(i)]
-            inbox.setdefault(msg.dest, []).append(msg)
-        return inbox
 
     def report(self) -> dict:
         """Ledger counters in the run-metrics JSON fragment shape."""

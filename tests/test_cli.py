@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from walkstitch import cli
+from walkstitch import cli, engine
 from walkstitch.fixtures import gnp, two_cliques
 from walkstitch.graph import save_cache
 
@@ -85,6 +85,24 @@ class TestWalks:
         assert lines[0] == "cycle,budget_total,rooted_attempted,rooted_ok,failure_rate"
         # 2 calibration cycles + final stitch for target 100 at growth 10
         assert len(lines) == 1 + 3
+
+    def test_dump_budgets_single_run(self, cliques_cache, tmp_path, monkeypatch):
+        runs = []
+
+        def counting_run(*args, **kwargs):
+            runs.append(engine.run_budgeted(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_budgeted", counting_run)
+        dump = tmp_path / "budgets.csv"
+        rc = run_cli("walks", "--graph", cliques_cache, "--root", 0, "--length", 4,
+                     "--target", 100, "--theta", 20, "--b0", 10, "--seed", 1,
+                     "--dump-budgets", dump)
+        assert rc == 0
+        assert len(runs) == 1
+        expected = list(runs[0].budget_history[-1].csv_lines())
+        assert dump.read_text().splitlines() == expected
+        assert len(expected) > 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_failure_exit_1(self, tmp_path):

@@ -223,7 +223,7 @@ class TestStitch:
         res = stitch(g, BudgetTable(vals), p, Cluster(), master_seed=11)
         assert res.verts.shape[1] == 3
         assert validate_walks(g, res.verts, lazy=False)
-        assert res.served == res.removed
+        assert res.served == res.verts.shape[0]  # L = 2 is a single phase
 
     def test_request_reply_supersteps(self):
         g = complete_graph(3)
@@ -233,6 +233,42 @@ class TestStitch:
         stitch(g, BudgetTable(vals), p, cluster, master_seed=2)
         kinds = [r.kind for r in cluster.ledger.rounds]
         assert kinds == ["stitch-request", "stitch-reply"] * 3  # log2(8) phases
+
+
+def all_leaf_ids(res) -> np.ndarray:
+    """Leaf ids under every finished walk and every failed prefix of a pass."""
+    parts = [res.leaf_ids(np.arange(res.starts.size)).ravel()]
+    parts += [res.leaf_ids(ids, phase - 1).ravel() for phase, ids, _ in res.failed]
+    return np.concatenate(parts)
+
+
+def assert_leaves_join(res) -> None:
+    """Each leaf of a walk starts where the one before it ends."""
+    ids = res.leaf_ids(np.arange(res.starts.size))
+    assert np.array_equal(res.leaf_end[ids[:, :-1]], res.leaf_start[ids[:, 1:]])
+    assert np.array_equal(res.leaf_start[ids[:, 0]], res.starts)
+
+
+class TestSegmentDisjointness:
+    """Every request gets its own segment: no length-1 segment appears twice
+    among the walks and failed prefixes of one stitch pass."""
+
+    def test_tolerate_run_with_failures(self):
+        g = cycle_graph(8)
+        p = desk_params(length=8, target=1, base_budget=20.0, tau=1.0)
+        res = stitch(g, initial_budgets(g, p), p, Cluster(), master_seed=3)
+        assert res.failed  # no surplus: stocks run short in every phase
+        leaves = all_leaf_ids(res)
+        assert np.unique(leaves).size == leaves.size
+        assert_leaves_join(res)
+        assert validate_walks(g, res.verts, lazy=False)
+
+    def test_uniform_stitching(self):
+        res = uniform_stitching(gnp(40, 0.2, seed=2), 3, 8, seed=4, tau=1.0).result
+        assert res.failed
+        leaves = all_leaf_ids(res)
+        assert np.unique(leaves).size == leaves.size
+        assert_leaves_join(res)
 
 
 class TestRunBudgeted:

@@ -1,0 +1,56 @@
+"""Pinned walk hashes for small fixed-seed runs.
+
+Each test hashes the walks and the failed label-1 prefixes that one engine
+call returns. A change that keeps the random streams (every substream key,
+every requester and server order) must keep these hashes byte for byte, so a
+refactor of stitching, walk assembly or message accounting is shown to
+return exactly the same walks. The values were recorded with the stitch that
+copied full vertex rows in every phase, before it became an index tree.
+
+Only a change that alters the RNG streams on purpose (ROADMAP item 4,
+counter-based substreams) may update the pinned values, and it must say so
+in CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+
+from walkstitch.engine import (StitchParams, desk_params, run_budgeted,
+                               uniform_stitching)
+from walkstitch.fixtures import cycle_graph, gnp, two_cliques
+
+
+def digest(walks, failed) -> str:
+    """sha256 over the walk matrix, then each (phase, failed prefix) chunk."""
+    h = hashlib.sha256()
+    for arr in [walks] + [chunk for _, chunk in failed]:
+        arr = np.ascontiguousarray(arr, dtype="<i4")
+        h.update(np.array(arr.shape, dtype="<i8").tobytes())
+        h.update(arr.tobytes())
+    h.update(np.array([phase for phase, _ in failed], dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+def test_lazy_practical_run_budgeted():
+    p = desk_params(length=8, target=300, growth=10.0, threshold=10.0,
+                    base_budget=30.0, tau=1.0, laziness="half")
+    run = run_budgeted(two_cliques(6), 1, p, seed=21)
+    assert run.failed_walks  # failures on all three phases
+    assert digest(run.walks, run.failed_walks) == (
+        "2f7dcea597ac02fb6dbcaac107076675290b602fdcb327874728155f86a793f4")
+
+
+def test_theory_abort_run_budgeted():
+    p = StitchParams(length=4, target=100, growth=10.0, threshold=20.0,
+                     base_budget=30.0, surplus=1.3, mode="theory", fail_policy="abort")
+    run = run_budgeted(cycle_graph(8), 0, p, seed=3)
+    assert digest(run.walks, run.failed_walks) == (
+        "b1d32da27db6d89a94e1dda52610e59812985cc42af7c265d1f9ae0059259b27")
+
+
+def test_uniform_stitching_with_failures():
+    res = uniform_stitching(gnp(40, 0.2, seed=2), 3, 8, seed=4, tau=1.0)
+    assert res.result.failed_chunks
+    assert digest(res.result.verts, res.result.failed_chunks) == (
+        "52812df9f0c1c0b83b6552ad5dd717c6651bc3cc349e526a770e82d91be6233f")
