@@ -25,7 +25,7 @@ from .engine import (EngineError, ParameterError, RunResult, StitchFailure,
                      theory_params, uniform_stitching, validate_walks)
 from .graph import (EdgeListParseError, Graph, GraphError, load_cache,
                     load_edge_list, save_cache)
-from .mpc import CapacityError, Cluster, ClusterConfig
+from .mpc import CapacityError, Cluster, ClusterConfig, ClusterConfigError
 from .ppr import (PPRError, PPRParams, WalkBatch, approx_ppr, local_cluster)
 
 EXIT_OK = 0
@@ -213,7 +213,11 @@ def cmd_walks(args) -> int:
                 toks = line.split()
                 if len(toks) != 2:
                     raise UsageError(f"{args.budgets}:{lineno}: expected 'vertex budget'")
-                budgets[int(toks[0])] = int(toks[1])
+                try:
+                    budgets[int(toks[0])] = int(toks[1])
+                except ValueError:
+                    raise UsageError(f"{args.budgets}:{lineno}: vertex and budget "
+                                     "must be integers") from None
         multi = run_multi_source(g, budgets, params, cluster=cluster, seed=args.seed)
         wall = time.perf_counter() - t0
         if args.out:
@@ -535,7 +539,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = ap.parse_args(argv)
         _coerce_config_types(args)
         return args.func(args)
-    except (UsageError, EdgeListParseError, GraphError, ParameterError, PPRError) as exc:
+    except (UsageError, EdgeListParseError, GraphError, ParameterError, PPRError,
+            ClusterConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StitchFailure as exc:

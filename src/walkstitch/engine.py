@@ -19,8 +19,10 @@ Two operating modes:
   is the 2-adic valuation. This caps the surplus blow-up at tau^(log2 L)
   while keeping one factor of tau of serving headroom in every phase.
 
-All randomness is drawn from substreams keyed by (seed, group, cycle, phase,
-vertex), so runs are replayable and schedule-independent.
+Randomness comes from one substream per purpose and step, keyed by the run
+seed: one per cycle draws every length-1 segment, one per (cycle, phase)
+orders the stock of every serving key, and one shuffles the returned walks.
+A run is therefore replayable from its seed.
 """
 
 from __future__ import annotations
@@ -284,18 +286,13 @@ def init_walks(g: Graph, budgets: BudgetTable, params: StitchParams,
     labels = np.repeat(
         np.tile(np.arange(1, params.length + 1, dtype=np.int16), g.n), values.ravel())
     starts = np.repeat(np.arange(g.n, dtype=np.int32), per_vertex)
-    ends = np.empty(total, dtype=np.int32)
-    pos = 0
-    for v in np.flatnonzero(per_vertex):
-        cnt = int(per_vertex[v])
-        gen = substream(master_seed, INIT_STREAM, cycle, int(v))
-        picks = gen.integers(0, g.degrees[v], size=cnt)
-        nbr = g.neighbors[g.offsets[v] + picks].astype(np.int32)
-        if params.lazy:
-            stay = gen.random(cnt) < 0.5
-            nbr = np.where(stay, np.int32(v), nbr)
-        ends[pos:pos + cnt] = nbr
-        pos += cnt
+    gen = substream(master_seed, INIT_STREAM, cycle)
+    picks = gen.integers(0, np.repeat(g.degrees, per_vertex))
+    picks += np.repeat(g.offsets[:-1], per_vertex)
+    ends = g.neighbors[picks].astype(np.int32)
+    del picks
+    if params.lazy:
+        ends = np.where(gen.random(total) < 0.5, starts, ends)
     return WalkStore(verts=np.column_stack([starts, ends]), labels=labels, cycle=cycle)
 
 
@@ -363,17 +360,40 @@ class StitchResult:
         self.__dict__.pop("verts", None)
 
 
+def _group_by_key(idx: np.ndarray, key: np.ndarray, n_keys: int,
+                  gen: np.random.Generator | None) -> np.ndarray:
+    """idx sorted by key, stably; with gen, in a uniform order inside each key.
+
+    Keys below n_keys are sorted a 16-bit digit at a time, lowest first:
+    numpy's stable argsort of a 16-bit type is a radix sort, much faster
+    than a comparison sort of shuffled 64-bit keys.
+    """
+    if n_keys <= 1 << 16:
+        key = key.astype(np.uint16)
+    order = None if gen is None else gen.permutation(idx.size)
+    for shift in range(0, max(1, (n_keys - 1).bit_length()), 16):
+        digit = (key if order is None else key[order]) >> shift
+        step = np.argsort(digit.astype(np.uint16, copy=False), kind="stable")
+        order = step if order is None else order[step]
+    return idx[order]
+
+
 def stitch(g: Graph, budgets: BudgetTable, params: StitchParams, cluster: Cluster,
            master_seed: int, cycle: int = 1) -> StitchResult:
     """One full doubling pass: init segments, then log2(length) phases.
 
     A segment is carried as its start vertex, end vertex and first label
     only. In each phase every requester asks the vertex at its end for a
-    segment, the serving vertex answers with a distinct uniform segment from
-    its stock (drawn via its substream), and each served pair becomes one
-    segment of the next level, recorded as a pair of child indices. When a
-    stock is short, fail_policy decides between aborting the run and
-    dropping the unserved walks (which are logged if they carry label 1).
+    segment. Requests and stock are grouped by serving key: the vertex in
+    practical mode, (vertex, needed label) in theory mode. The phase's
+    substream puts each key's stock in a uniform order, and the request of
+    rank r in a key gets the stock segment of rank r, so every request gets a
+    distinct uniform segment; each served pair becomes one segment of the
+    next level, recorded as a pair of child indices. When a key's stock is
+    short, fail_policy decides between aborting the run (on the smallest
+    short key) and serving a uniform subset of its requests, shuffled by the
+    same substream; the unserved walks are dropped, and logged if they
+    carry label 1.
 
     Each phase costs two supersteps (requests, then replies). Message words:
     a request is 3 words; a reply for a length-s segment is s+4 words (s+1
@@ -393,7 +413,9 @@ def stitch(g: Graph, budgets: BudgetTable, params: StitchParams, cluster: Cluste
     levels: List[Tuple[np.ndarray, np.ndarray]] = []
     failed: List[Tuple[int, np.ndarray, np.ndarray]] = []
     served_total = 0
+    theory = params.mode == "theory"
     key_span = params.length + 1
+    n_keys = g.n * key_span if theory else g.n
     phases = params.length.bit_length() - 1
 
     for phase in range(1, phases + 1):
@@ -407,85 +429,49 @@ def stitch(g: Graph, budgets: BudgetTable, params: StitchParams, cluster: Cluste
         del lab_mod
 
         dest = end[req_idx].astype(np.int64)
-        sender = start[req_idx].astype(np.int64)
-        cluster.exchange_bulk(dest, sender, words=3, kind=KIND_REQUEST)
-
-        if params.mode == "theory":
+        cluster.exchange_bulk(dest, words=3, kind=KIND_REQUEST)
+        if theory:
             req_key = dest * key_span + (labels[req_idx].astype(np.int64) + s)
-            srv_key = start[srv_idx].astype(np.int64) * key_span \
-                + labels[srv_idx].astype(np.int64)
+            srv_key = start[srv_idx].astype(np.int64) * key_span + labels[srv_idx]
         else:
             req_key = dest
             srv_key = start[srv_idx].astype(np.int64)
+        del dest
+        rcount = np.bincount(req_key, minlength=n_keys)
+        scount = np.bincount(srv_key, minlength=n_keys)
+        short = np.flatnonzero(rcount > scount)
+        if short.size and params.fail_policy == "abort":
+            key = int(short[0])
+            z, needed = divmod(key, key_span) if theory else (key, None)
+            raise StitchFailure(z, needed, phase, int(rcount[key] - scount[key]), cycle)
 
-        # canonical serving order: key, then sender, then submission order
-        req_order = np.lexsort((req_idx, sender, req_key))
-        del sender, dest
-        req_sorted = req_idx[req_order]
-        rkeys, rstarts, rcounts = np.unique(req_key[req_order],
-                                            return_index=True, return_counts=True)
-        del req_order, req_key
-        srv_order = np.lexsort((srv_idx, srv_key))
-        srv_sorted = srv_idx[srv_order]
-        skeys, sstarts, scounts = np.unique(srv_key[srv_order],
-                                            return_index=True, return_counts=True)
-        del srv_order, srv_key
-        spos = np.searchsorted(skeys, rkeys)
+        # servers in a uniform order inside each key; requests in key order,
+        # shuffled inside each key only when a short key leaves some unserved
+        gen = substream(master_seed, SERVE_STREAM, cycle, phase)
+        srv_sorted = _group_by_key(srv_idx, srv_key, n_keys, gen)
+        req_sorted = _group_by_key(req_idx, req_key, n_keys, gen if short.size else None)
+        del srv_idx, srv_key, req_idx, req_key
 
-        served_req_parts: List[np.ndarray] = []
-        served_srv_parts: List[np.ndarray] = []
-        failed_parts: List[np.ndarray] = []
-        gens: Dict[int, np.random.Generator] = {}
-
-        for gi in range(rkeys.size):
-            key = int(rkeys[gi])
-            if params.mode == "theory":
-                z, needed = divmod(key, key_span)
-            else:
-                z, needed = key, None
-            p = int(spos[gi])
-            have = p < skeys.size and skeys[p] == key
-            stock = int(scounts[p]) if have else 0
-            want = int(rcounts[gi])
-            group_req = req_sorted[rstarts[gi]:rstarts[gi] + want]
-            gen = gens.get(z)
-            if gen is None:
-                gen = substream(master_seed, SERVE_STREAM, cycle, phase, z)
-                gens[z] = gen
-            if want <= stock:
-                perm = gen.permutation(stock)[:want]
-                served_req_parts.append(group_req)
-                served_srv_parts.append(srv_sorted[sstarts[p] + perm])
-            else:
-                if params.fail_policy == "abort":
-                    raise StitchFailure(z, needed, phase, want - stock, cycle)
-                if stock > 0:
-                    keep = np.sort(gen.permutation(want)[:stock])
-                    perm = gen.permutation(stock)
-                    served_req_parts.append(group_req[keep])
-                    served_srv_parts.append(srv_sorted[sstarts[p] + perm])
-                    failed_parts.append(np.delete(group_req, keep))
-                else:
-                    failed_parts.append(group_req)
-
-        if served_req_parts:
-            served_req = np.concatenate(served_req_parts)
-            served_srv = np.concatenate(served_srv_parts)
-        else:
-            served_req = np.empty(0, dtype=np.int64)
-            served_srv = np.empty(0, dtype=np.int64)
-
-        cluster.exchange_bulk(start[served_req], start[served_srv],
-                              words=s + 4, kind=KIND_REPLY)
-
-        if failed_parts:
-            failed_req = np.concatenate(failed_parts)
+        # the request of rank r in key k gets server sfirst[k] + r, if r < scount[k]
+        rfirst = np.cumsum(rcount) - rcount
+        sfirst = np.cumsum(scount) - scount
+        rank = np.arange(req_sorted.size) - np.repeat(rfirst, rcount)
+        srv_pos = rank + np.repeat(sfirst, rcount)
+        if short.size:
+            ok = rank < np.repeat(scount, rcount)
+            failed_req = req_sorted[~ok]
+            served_req, srv_pos = req_sorted[ok], srv_pos[ok]
             first_label = failed_req[labels[failed_req] == 1]
             if first_label.size:
                 failed.append((phase, first_label.astype(np.int32), start[first_label]))
+        else:
+            served_req = req_sorted
+        served_srv = srv_sorted[srv_pos]
+        del rank, srv_pos, req_sorted, srv_sorted
 
         assert np.array_equal(end[served_req], start[served_srv])
         start, end = start[served_req], end[served_srv]
+        cluster.exchange_bulk(start, words=s + 4, kind=KIND_REPLY)
         labels = labels[served_req]
         levels.append((served_req.astype(np.int32), served_srv.astype(np.int32)))
         served_total += int(served_req.size)
@@ -603,7 +589,6 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
     history: List[BudgetTable] = []
     rooted_history: List[np.ndarray] = []
     update_dests = np.flatnonzero(g.degrees > 0).astype(np.int64)
-    update_senders = np.full(update_dests.size, int(roots_arr[0]), dtype=np.int64)
 
     for i in range(1, calib + 2):
         if keep_history:
@@ -629,8 +614,8 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
                 raise EngineError(f"all rooted walks failed in calibration cycle {i}")
             expo = final_expo if i == calib else i
             budgets = update_budgets(rooted, expo, params, g, num_roots=roots_arr.size)
-            cluster.exchange_bulk(update_dests, update_senders,
-                                  words=params.length + 1, kind=KIND_UPDATE)
+            cluster.exchange_bulk(update_dests, words=params.length + 1,
+                                  kind=KIND_UPDATE)
         stats.append(CycleStats(cycle=i, budget_total=budget_total,
                                 rooted_attempted=attempted,
                                 rooted_ok=int(rooted.shape[0]),

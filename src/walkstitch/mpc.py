@@ -25,6 +25,10 @@ KIND_OTHER = "message"
 _PAIRED_KINDS = (KIND_REQUEST, KIND_REPLY)
 
 
+class ClusterConfigError(ValueError):
+    pass
+
+
 class CapacityError(RuntimeError):
     def __init__(self, machine: int, round_index: int, words: int, capacity: int):
         super().__init__(
@@ -49,9 +53,9 @@ class ClusterConfig:
 
     def __post_init__(self):
         if self.num_machines < 1:
-            raise ValueError("num_machines must be >= 1")
+            raise ClusterConfigError("num_machines must be >= 1")
         if self.machine_capacity < 1:
-            raise ValueError("machine_capacity must be >= 1")
+            raise ClusterConfigError("machine_capacity must be >= 1")
 
 
 @dataclass
@@ -108,16 +112,15 @@ class Cluster:
         hashed = splitmix64_array(vs.astype(np.uint64))
         return (hashed % np.uint64(self.cfg.num_machines)).astype(np.int64)
 
-    def exchange_bulk(self, dest: np.ndarray, sender: np.ndarray,
-                      words, kind: str = KIND_OTHER) -> None:
-        """Account for one barrier exchange over parallel message arrays.
+    def exchange_bulk(self, dest: np.ndarray, words, kind: str = KIND_OTHER) -> None:
+        """Account for one barrier exchange of len(dest) messages.
 
-        dest and sender hold each message's destination and source vertex;
-        words is one word count for every message or an array of per-message
-        counts. Appends one RoundRecord. Loads are charged to the receiving
-        machine only, so sender does not enter the accounting; an overflow is
-        logged as a violation (strict mode raises CapacityError). Nothing is
-        delivered, so there is no delivery order and nothing is returned.
+        dest holds each message's destination vertex; words is one word count
+        for every message or an array of per-message counts. Appends one
+        RoundRecord. Loads are charged to the receiving machine only, so no
+        sender is needed; an overflow is logged as a violation (strict mode
+        raises CapacityError). Nothing is delivered, so there is no delivery
+        order and nothing is returned.
         """
         dest = np.asarray(dest)
         n_msgs = int(dest.size)

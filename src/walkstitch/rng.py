@@ -1,8 +1,10 @@
 """Deterministic random-number substreams.
 
-Every random decision in the engine draws from a substream derived from
-(master seed, context keys...) with a SplitMix64-style mixer, so results are
-identical across runs and independent of any parallel schedule.
+A substream is a PCG64 generator whose key is derived from (master seed,
+context keys...) with a SplitMix64-style mixer. The engine keys one
+substream per purpose and step (init per cycle, serving per cycle and
+phase, the final shuffle), never per vertex, so a run draws only a handful
+of generators and is identical whenever it is repeated with the same seed.
 """
 
 from __future__ import annotations

@@ -134,6 +134,27 @@ class TestWalks:
     def test_missing_root_exit_2(self, cliques_cache):
         assert run_cli("walks", "--graph", cliques_cache, "--seed", 1) == 2
 
+    def test_zero_machines_exit_2(self, cliques_cache, capsys):
+        rc = run_cli("walks", "--graph", cliques_cache, "--root", 0,
+                     "--machines", 0, "--seed", 1)
+        assert rc == 2
+        assert "error: num_machines must be >= 1" in capsys.readouterr().err
+
+    def test_missing_graph_file_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.txt"
+        rc = run_cli("walks", "--graph", missing, "--root", 0, "--seed", 1)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+
+    def test_non_integer_budget_exit_2(self, cliques_cache, tmp_path, capsys):
+        budgets = tmp_path / "b.txt"
+        budgets.write_text("1 50\n16 fifty\n")
+        rc = run_cli("walks", "--graph", cliques_cache, "--budgets", budgets,
+                     "--length", 4, "--seed", 3)
+        assert rc == 2
+        assert f"error: {budgets}:2:" in capsys.readouterr().err
+
 
 class TestPPRCommand:
     def test_alpha_one_single_row(self, cliques_cache, tmp_path):

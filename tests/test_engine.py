@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from walkstitch import oracle
+from walkstitch import engine, oracle
 from walkstitch.engine import (BudgetTable, ParameterError, StitchFailure,
                                StitchParams, cycle_plan, desk_params,
                                dyadic_decompose, growth_power, init_walks,
@@ -12,10 +12,12 @@ from walkstitch.engine import (BudgetTable, ParameterError, StitchFailure,
                                theory_params, uniform_stitching, update_budgets,
                                validate_walks)
 from walkstitch.fixtures import (complete_graph, cycle_graph, gnp, path_graph,
-                                 two_cliques)
+                                 star_graph, two_cliques)
 from walkstitch.mpc import Cluster
+from walkstitch.rng import substream
 
-CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266}  # chi-square 0.999 quantiles
+# chi-square 0.999 quantiles by degrees of freedom
+CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 54: 91.87, 255: 330.52}
 
 
 class TestTheoryParams:
@@ -234,6 +236,36 @@ class TestStitch:
         kinds = [r.kind for r in cluster.ledger.rounds]
         assert kinds == ["stitch-request", "stitch-reply"] * 3  # log2(8) phases
 
+    def test_short_stock_served_fairly(self):
+        # 4 leaves x 2500 requests at the center, which holds 5000 segments:
+        # every leaf must get about half of its requests served, whatever
+        # its position among the requesters
+        g = star_graph(4)
+        p = desk_params(length=2, target=1, tau=1.0)
+        vals = np.zeros((5, 2), dtype=np.int64)
+        vals[1:, 0] = 2500
+        vals[0, 1] = 5000
+        res = stitch(g, BudgetTable(vals), p, Cluster(), master_seed=6)
+        share = np.bincount(res.starts, minlength=5)[1:] / 2500
+        assert res.served == 5000
+        assert np.all(np.abs(share - 0.5) <= 0.04)
+
+
+class TestGroupByKey:
+    """The 16-bit radix passes give exactly a stable argsort on the key."""
+
+    @pytest.mark.parametrize("n_keys", [5, 1 << 16, (1 << 16) + 1, 1 << 20, 1 << 40])
+    def test_matches_stable_argsort(self, n_keys):
+        rng = np.random.default_rng(n_keys)
+        key = rng.integers(0, n_keys, size=5000)
+        key[0] = n_keys - 1  # the largest key needs every digit
+        idx = 3 * np.arange(5000)
+        got = engine._group_by_key(idx, key, n_keys, None)
+        assert np.array_equal(got, idx[np.argsort(key, kind="stable")])
+        got = engine._group_by_key(idx, key, n_keys, np.random.default_rng(1))
+        perm = np.random.default_rng(1).permutation(5000)
+        assert np.array_equal(got, idx[perm][np.argsort(key[perm], kind="stable")])
+
 
 def all_leaf_ids(res) -> np.ndarray:
     """Leaf ids under every finished walk and every failed prefix of a pass."""
@@ -328,6 +360,23 @@ class TestRunBudgeted:
         assert r1.metrics.to_dict() == r2.metrics.to_dict()
         assert not np.array_equal(r1.walks, run_budgeted(g, 2, p, seed=34).walks)
 
+    def test_one_substream_per_cycle_and_phase(self, monkeypatch):
+        # init draws from one generator per cycle and serving from one per
+        # (cycle, phase), plus the final shuffle: never one per vertex or key
+        calls = []
+
+        def counting_substream(*args):
+            calls.append(args)
+            return substream(*args)
+
+        monkeypatch.setattr(engine, "substream", counting_substream)
+        p = desk_params(length=8, target=300, growth=10.0, threshold=10.0,
+                        base_budget=30.0, tau=1.0)
+        run = run_budgeted(cycle_graph(8), 0, p, seed=5)
+        assert run.failed_walks  # short keys: requests are shuffled too
+        phases = 3
+        assert len(calls) == run.metrics.cycles * (1 + phases) + 1
+
     def test_isolated_root_rejected(self):
         from walkstitch.graph import load_edge_list
         g = load_edge_list("0 1\n2 2")
@@ -361,6 +410,31 @@ class TestRunBudgeted:
             chi += (obs - expect) ** 2 / expect
         assert not freq  # no walk outside the enumerated support
         assert chi < CHI2_999[len(probs) - 1]
+
+
+class TestJointPathLaw:
+    """The whole path, not just its marginals, follows the random-walk law:
+    a chi-square test of 20 000 stitched walks against the exact
+    probability of every path."""
+
+    @pytest.mark.parametrize("graph, length, laziness, root, n_paths", [
+        (cycle_graph(8), 8, "none", 0, 256),
+        (path_graph(4), 4, "half", 1, 55),
+    ], ids=["c8-L8", "p4-L4-lazy"])
+    def test_chi_square(self, graph, length, laziness, root, n_paths):
+        p = desk_params(length=length, target=20_000, growth=10.0, threshold=10.0,
+                        base_budget=30.0, tau=3.0, laziness=laziness,
+                        fail_policy="abort")
+        walks = run_budgeted(graph, root, p, seed=1).walks[:20_000]
+        assert walks.shape[0] == 20_000
+        probs = oracle.enumerate_walks(graph, root, length, lazy=laziness == "half")
+        assert len(probs) == n_paths
+        paths, counts = np.unique(walks, axis=0, return_counts=True)
+        observed = dict(zip(map(tuple, paths.tolist()), counts.tolist()))
+        assert set(observed) <= set(probs)  # no walk outside the support
+        expect = {path: float(pr) * walks.shape[0] for path, pr in probs.items()}
+        chi = sum((observed.get(path, 0) - e) ** 2 / e for path, e in expect.items())
+        assert chi < CHI2_999[n_paths - 1]
 
 
 class TestTheoryNoFail:

@@ -4,12 +4,11 @@ Each test hashes the walks and the failed label-1 prefixes that one engine
 call returns. A change that keeps the random streams (every substream key,
 every requester and server order) must keep these hashes byte for byte, so a
 refactor of stitching, walk assembly or message accounting is shown to
-return exactly the same walks. The values were recorded with the stitch that
-copied full vertex rows in every phase, before it became an index tree.
+return exactly the same walks. The values were recorded when init and
+serving moved to one substream per cycle and per (cycle, phase).
 
-Only a change that alters the RNG streams on purpose (ROADMAP item 4,
-counter-based substreams) may update the pinned values, and it must say so
-in CHANGES.md.
+Only a change that alters the RNG streams on purpose may update the pinned
+values, and it must say so in CHANGES.md.
 """
 
 import hashlib
@@ -38,7 +37,7 @@ def test_lazy_practical_run_budgeted():
     run = run_budgeted(two_cliques(6), 1, p, seed=21)
     assert run.failed_walks  # failures on all three phases
     assert digest(run.walks, run.failed_walks) == (
-        "2f7dcea597ac02fb6dbcaac107076675290b602fdcb327874728155f86a793f4")
+        "c780c0ede54bf34a1d0489941c1162589ed648438ef8edccfd064ecbd7152bcc")
 
 
 def test_theory_abort_run_budgeted():
@@ -46,11 +45,11 @@ def test_theory_abort_run_budgeted():
                      base_budget=30.0, surplus=1.3, mode="theory", fail_policy="abort")
     run = run_budgeted(cycle_graph(8), 0, p, seed=3)
     assert digest(run.walks, run.failed_walks) == (
-        "b1d32da27db6d89a94e1dda52610e59812985cc42af7c265d1f9ae0059259b27")
+        "45822156f2936179aaa2b3d42b2e95edd3d088660386d12f843baf36546355d8")
 
 
 def test_uniform_stitching_with_failures():
     res = uniform_stitching(gnp(40, 0.2, seed=2), 3, 8, seed=4, tau=1.0)
     assert res.result.failed_chunks
     assert digest(res.result.verts, res.result.failed_chunks) == (
-        "52812df9f0c1c0b83b6552ad5dd717c6651bc3cc349e526a770e82d91be6233f")
+        "b0b5281ede72e34268e0a9d2ff31705e558ef88f358eb7c687c5966350e084ba")

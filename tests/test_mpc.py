@@ -41,7 +41,7 @@ NO_MSGS = np.empty(0, dtype=np.int64)
 class TestExchange:
     def test_empty_outbox(self):
         c = Cluster()
-        assert c.exchange_bulk(NO_MSGS, NO_MSGS, words=1) is None
+        assert c.exchange_bulk(NO_MSGS, words=1) is None
         assert c.ledger.superstep_count == 1
         assert c.ledger.transcript() == (("message", 0, 0, 0),)
 
@@ -49,20 +49,19 @@ class TestExchange:
         c = Cluster(ClusterConfig(num_machines=1, machine_capacity=10,
                                   enforce_capacity=True))
         with pytest.raises(CapacityError, match="machine 0"):
-            c.exchange_bulk(np.array([0]), np.array([1]), words=11)
+            c.exchange_bulk(np.array([0]), words=11)
 
     def test_capacity_violation_report_only(self):
         c = Cluster(ClusterConfig(num_machines=1, machine_capacity=10))
-        c.exchange_bulk(np.array([0]), np.array([1]), words=11)
+        c.exchange_bulk(np.array([0]), words=11)
         assert c.ledger.violations == [{"round": 0, "machine": 0, "words": 11}]
 
     def test_message_conservation(self):
         c = Cluster(ClusterConfig(num_machines=4))
         rng = np.random.Generator(np.random.PCG64(8))
         dest = rng.integers(0, 50, size=300)
-        sender = rng.integers(0, 50, size=300)
         words = rng.integers(1, 9, size=300)
-        c.exchange_bulk(dest, sender, words)
+        c.exchange_bulk(dest, words)
         rec = c.ledger.rounds[-1]
         assert rec.messages_sent == 300
         assert rec.total_words == int(words.sum())
@@ -74,7 +73,7 @@ class TestExchange:
         c = Cluster()
         for i in range(5):
             assert c.ledger.superstep_count == i
-            c.exchange_bulk(NO_MSGS, NO_MSGS, words=1)
+            c.exchange_bulk(NO_MSGS, words=1)
 
     def test_transcript_deterministic(self):
         def run():
@@ -82,8 +81,7 @@ class TestExchange:
             rng = np.random.Generator(np.random.PCG64(1))
             for _ in range(4):
                 d = rng.integers(0, 20, size=60)
-                s = rng.integers(0, 20, size=60)
-                c.exchange_bulk(d, s, words=2)
+                c.exchange_bulk(d, words=2)
             return c.ledger.transcript()
         assert run() == run()
 
@@ -97,8 +95,8 @@ class TestReport:
 
     def test_after_two_exchanges(self):
         c = Cluster()
-        c.exchange_bulk(NO_MSGS, NO_MSGS, words=1)
-        c.exchange_bulk(np.array([1]), np.array([0]), words=2)
+        c.exchange_bulk(NO_MSGS, words=1)
+        c.exchange_bulk(np.array([1]), words=2)
         rep = c.report()
         assert rep["supersteps"] == 2
         assert rep["max_machine_words"] == 2
@@ -107,7 +105,7 @@ class TestReport:
         from walkstitch.mpc import KIND_REPLY, KIND_REQUEST, KIND_UPDATE
         c = Cluster()
         for kind in (KIND_REQUEST, KIND_REPLY, KIND_REQUEST, KIND_REPLY, KIND_UPDATE):
-            c.exchange_bulk(np.array([0]), np.array([1]), words=1, kind=kind)
+            c.exchange_bulk(np.array([0]), words=1, kind=kind)
         rep = c.report()
         assert rep["supersteps"] == 5
         assert rep["paper_rounds"] == 3  # two request/reply pairs + one update
