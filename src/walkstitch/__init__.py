@@ -14,8 +14,9 @@ from .engine import (StitchParams, BudgetTable, WalkStore, StitchFailure,
                      dyadic_decompose, validate_walks, round_length,
                      growth_power, cycle_plan, label_multipliers)
 from .ppr import (PPRParams, WalkBatch, SweepResult, LocalClusterResult,
-                  PPRError, empirical_step_distributions, approx_ppr, sweep,
-                  local_cluster, local_cluster_doubling, conductance_bound)
+                  PPRError, WalkShortfall, empirical_step_distributions,
+                  approx_ppr, sweep, local_cluster, local_cluster_doubling,
+                  conductance_bound)
 from .vectors import ScoreVector
 from . import fixtures, oracle
 

@@ -3,9 +3,15 @@
 Subcommands: ingest, walks, ppr, cluster, compare-baseline, oracle-check.
 Every run command requires --seed; every JSON report embeds the resolved
 configuration, the seed, and the package version, so re-running a report's
-config reproduces it byte-identically. Exit codes: 0 success, 1 algorithmic
-failure (abort-mode stitch failure), 2 usage or parse error, 3 capacity
-violation in strict mode.
+config reproduces it byte-identically. --config FILE (before the subcommand)
+reads key=value lines keyed by flag name; each becomes that flag right after
+the subcommand, so it is checked like one, an unknown key exits 2, and typed
+flags win. store_true flags are written `strict=true`.
+
+Exit codes: 0 success; 1 algorithmic failure (abort-mode stitch failure,
+fewer usable walks than --M, a failing oracle check); 2 usage or parse error
+(bad flag or config line; malformed, non-UTF-8 or missing input file; corrupt
+graph cache); 3 capacity violation in strict mode.
 """
 
 from __future__ import annotations
@@ -14,19 +20,20 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__, fixtures, oracle
-from .engine import (EngineError, ParameterError, RunResult, StitchFailure,
-                     StitchParams, desk_params, run_budgeted, run_multi_source,
-                     theory_params, uniform_stitching, validate_walks)
-from .graph import (EdgeListParseError, Graph, GraphError, load_cache,
-                    load_edge_list, save_cache)
+from .engine import (EngineError, ParameterError, StitchParams, desk_params,
+                     run_budgeted, run_multi_source, theory_params,
+                     uniform_stitching, validate_walks)
+from .graph import Graph, GraphError, load_cache, load_edge_list, save_cache
 from .mpc import CapacityError, Cluster, ClusterConfig, ClusterConfigError
-from .ppr import (PPRError, PPRParams, WalkBatch, approx_ppr, local_cluster)
+from .ppr import (PPRError, PPRParams, WalkBatch, WalkShortfall, approx_ppr,
+                  local_cluster)
 
 EXIT_OK = 0
 EXIT_ALGO = 1
@@ -38,21 +45,70 @@ class UsageError(ValueError):
     pass
 
 
-# -- config plumbing ---------------------------------------------------------
+# -- input files -------------------------------------------------------------
 
-def read_config_file(path: str) -> Dict[str, str]:
-    """Flat key=value file; blank lines and '#' comments ignored."""
-    out: Dict[str, str] = {}
-    with open(path) as f:
+@contextmanager
+def open_text(path: str):
+    """Open an input file as UTF-8 text; undecodable bytes are a UsageError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_lines(path: str) -> Iterator[Tuple[str, str]]:
+    """Yield ("path:lineno", stripped line) for each line that is neither
+    blank nor a '#' comment."""
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
+            if line and not line.startswith("#"):
+                yield f"{path}:{lineno}", line
+
+
+def to_ints(where: str, tokens: Sequence[str]) -> List[int]:
+    """Tokens as signed 64-bit integers; anything else is a UsageError."""
+    try:
+        vals = [int(t) for t in tokens]
+        if all(-(1 << 63) <= v < 1 << 63 for v in vals):
+            return vals
+    except ValueError:
+        pass
+    raise UsageError(f"{where}: expected 64-bit integers in {' '.join(tokens)!r}")
+
+
+_FLAG_KEYS = {"strict", "verify", "timings"}   # store_true flags
+
+
+def read_config_file(path: str) -> List[str]:
+    """Flat key=value file as command-line tokens: `--key=value`, or a bare
+    `--key` for a store_true key set to 1, true, yes or on."""
+    tokens: List[str] = []
+    for where, line in read_lines(path):
+        key, eq, val = line.partition("=")
+        key, val = key.strip().replace("_", "-"), val.strip()
+        if not eq or not key.replace("-", "_").isidentifier():
+            raise UsageError(f"{where}: expected key=value with a flag name as key")
+        if key not in _FLAG_KEYS:
+            tokens.append(f"--{key}={val}")
+        elif val.lower() in ("1", "true", "yes", "on"):
+            tokens.append(f"--{key}")
+    return tokens
+
+
+def splice_config(argv: List[str]) -> List[str]:
+    """argv with the --config file's tokens put right after the subcommand,
+    so that flags typed on the command line still win."""
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--config")
+    probe.add_argument("command", nargs="?")
+    probe.add_argument("rest", nargs=argparse.REMAINDER)
+    known, _ = probe.parse_known_args(argv)
+    if not known.config or known.command is None:
+        return argv
+    head = len(argv) - len(known.rest)
+    return argv[:head] + read_config_file(known.config) + argv[head:]
 
 
 def resolved_config(args: argparse.Namespace) -> Dict[str, object]:
@@ -86,48 +142,48 @@ def load_graph(path: str) -> Graph:
         magic = f.read(4)
     if magic == b"LWG1":
         return load_cache(path)
-    with open(path) as f:
+    with open_text(path) as f:
         return load_edge_list(f)
+
+
+def read_budget_file(path: str) -> Dict[int, int]:
+    """Multi-source budgets from "vertex budget" lines."""
+    budgets: Dict[int, int] = {}
+    for where, line in read_lines(path):
+        toks = line.split()
+        if len(toks) != 2:
+            raise UsageError(f"{where}: expected 'vertex budget'")
+        vertex, budget = to_ints(where, toks)
+        budgets[vertex] = budget
+    return budgets
 
 
 # -- walk files --------------------------------------------------------------
 
-def write_walk_file(path: str, run: RunResult) -> None:
-    """One walk per line: "root cycle status v0 v1 ... vl",
-    status ok or failed@k for walks whose continuation at label k ran dry."""
-    cycle = run.metrics.cycles
+def write_walk_file(path: str, blocks) -> None:
+    """Write (cycle, status, rows) blocks one walk per line:
+    "root cycle status v0 v1 ... vl", status ok or failed@k for walks whose
+    continuation at label k ran dry."""
     with open(path, "w") as f:
-        for row in run.walks:
-            f.write(f"{row[0]} {cycle} ok " + " ".join(str(v) for v in row) + "\n")
-        for phase, chunk in run.failed_walks:
-            k = (1 << (phase - 1)) + 1
-            for row in chunk:
-                f.write(f"{row[0]} {cycle} failed@{k} "
+        for cycle, status, rows in blocks:
+            for row in rows:
+                f.write(f"{row[0]} {cycle} {status} "
                         + " ".join(str(v) for v in row) + "\n")
 
 
 def read_walk_file(path: str, root: int | None = None) -> np.ndarray:
     """Rows of ok walks (optionally restricted to one root)."""
     rows: List[List[int]] = []
-    width = None
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            if len(toks) < 4:
-                raise UsageError(f"{path}:{lineno}: malformed walk line")
-            if toks[2] != "ok":
-                continue
-            if root is not None and int(toks[0]) != root:
-                continue
-            verts = [int(t) for t in toks[3:]]
-            if width is None:
-                width = len(verts)
-            elif len(verts) != width:
-                raise UsageError(f"{path}:{lineno}: inconsistent walk length")
-            rows.append(verts)
+    for where, line in read_lines(path):
+        toks = line.split()
+        if len(toks) < 4:
+            raise UsageError(f"{where}: malformed walk line")
+        first, _cycle, *verts = to_ints(where, toks[:2] + toks[3:])
+        if toks[2] != "ok" or (root is not None and first != root):
+            continue
+        if rows and len(verts) != len(rows[0]):
+            raise UsageError(f"{where}: inconsistent walk length")
+        rows.append(verts)
     if not rows:
         raise UsageError(f"{path}: no usable walks" +
                          (f" for root {root}" if root is not None else ""))
@@ -153,16 +209,19 @@ def make_stitch_params(args, g: Graph) -> StitchParams:
                        mode=args.mode)
 
 
-def add_graph_arg(p: argparse.ArgumentParser) -> None:
+def add_run_args(p: argparse.ArgumentParser, csv_help: str) -> None:
+    """Flags of every run command: graph, simulated cluster, seed, outputs."""
     p.add_argument("--graph", required=True, help="edge-list file or LWG1 cache")
-
-
-def add_cluster_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--machines", type=int, default=1)
     p.add_argument("--capacity", type=int, default=1 << 62,
                    help="words per machine per round")
     p.add_argument("--strict", action="store_true",
                    help="abort on capacity violation instead of recording it")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--csv", help=csv_help)
+    p.add_argument("--report", help="metrics JSON path (default stdout)")
+    p.add_argument("--timings", action="store_true",
+                   help="embed wall clock in the report (breaks byte-reproducibility)")
 
 
 def add_engine_args(p: argparse.ArgumentParser) -> None:
@@ -184,7 +243,7 @@ def add_engine_args(p: argparse.ArgumentParser) -> None:
 # -- subcommands --------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    with open(args.edge_list) as f:
+    with open_text(args.edge_list) as f:
         g = load_edge_list(f)
     save_cache(g, args.cache)
     print(f"n={g.n} m={g.m}")
@@ -204,32 +263,14 @@ def cmd_walks(args) -> int:
     params = make_stitch_params(args, g)
     t0 = time.perf_counter()
     if args.budgets:
-        budgets: Dict[int, int] = {}
-        with open(args.budgets) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                toks = line.split()
-                if len(toks) != 2:
-                    raise UsageError(f"{args.budgets}:{lineno}: expected 'vertex budget'")
-                try:
-                    budgets[int(toks[0])] = int(toks[1])
-                except ValueError:
-                    raise UsageError(f"{args.budgets}:{lineno}: vertex and budget "
-                                     "must be integers") from None
+        budgets = read_budget_file(args.budgets)
         multi = run_multi_source(g, budgets, params, cluster=cluster, seed=args.seed)
         wall = time.perf_counter() - t0
         if args.out:
-            cycles_of = {}
-            for res in multi.group_results:
-                for r in res.roots:
-                    cycles_of[r] = res.metrics.cycles
-            with open(args.out, "w") as f:
-                for root in sorted(multi.walks_by_root):
-                    for row in multi.walks_by_root[root]:
-                        f.write(f"{root} {cycles_of[root]} ok "
-                                + " ".join(str(v) for v in row) + "\n")
+            cycles_of = {r: res.metrics.cycles
+                         for res in multi.group_results for r in res.roots}
+            write_walk_file(args.out, ((cycles_of[root], "ok", multi.walks_by_root[root])
+                                       for root in sorted(multi.walks_by_root)))
         payload = {
             "metrics": multi.metrics.to_dict(),
             "shortfall": {str(k): v for k, v in sorted(multi.shortfall.items())},
@@ -245,7 +286,10 @@ def cmd_walks(args) -> int:
                        keep_history=bool(args.dump_budgets))
     wall = time.perf_counter() - t0
     if args.out:
-        write_walk_file(args.out, run)
+        cycle = run.metrics.cycles
+        write_walk_file(args.out, [(cycle, "ok", run.walks)] + [
+            (cycle, f"failed@{(1 << (phase - 1)) + 1}", chunk)
+            for phase, chunk in run.failed_walks])
     if args.dump_budgets:
         with open(args.dump_budgets, "w") as f:
             for line in run.budget_history[-1].csv_lines():
@@ -270,7 +314,7 @@ def cmd_ppr(args) -> int:
             raise UsageError("theory mode needs --eta")
         pparams = PPRParams.theory(g.n, args.alpha, args.eta)
     else:
-        pparams = PPRParams.desk(args.alpha, args.T, args.M, eta=args.eta)
+        pparams = PPRParams.desk(args.alpha, args.T, args.M)
 
     if args.alpha >= 1.0:
         from .vectors import ScoreVector
@@ -278,6 +322,8 @@ def cmd_ppr(args) -> int:
     else:
         if args.walks:
             verts = read_walk_file(args.walks, root=args.root)
+            if verts.min() < 0 or verts.max() >= g.n:
+                raise UsageError(f"{args.walks}: vertex ids must lie in [0, {g.n})")
             batch = WalkBatch(verts, lazy=args.laziness == "half")
         elif args.target is not None:
             args_length = max(args.length, pparams.T)
@@ -448,22 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("walks", help="generate rooted walks")
-    add_graph_arg(p)
+    add_run_args(p, "per-cycle stats CSV (plot-ready)")
     p.add_argument("--root", type=int)
     p.add_argument("--budgets", help="multi-source budget file: 'vertex budget' lines")
     add_engine_args(p)
-    add_cluster_args(p)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="walk output file")
-    p.add_argument("--csv", help="per-cycle stats CSV (plot-ready)")
     p.add_argument("--dump-budgets", help="final-cycle budget CSV")
-    p.add_argument("--report", help="metrics JSON path (default stdout)")
-    p.add_argument("--timings", action="store_true",
-                   help="embed wall clock in the report (breaks byte-reproducibility)")
     p.set_defaults(func=cmd_walks)
 
     p = sub.add_parser("ppr", help="approximate personalized PageRank")
-    add_graph_arg(p)
+    add_run_args(p, "alias of --out (plot-ready scores)")
     p.add_argument("--root", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eta", type=float)
@@ -472,42 +512,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppr-mode", choices=("desk", "theory"), default="desk")
     p.add_argument("--walks", help="reuse a walk file instead of running the engine")
     add_engine_args(p)
-    add_cluster_args(p)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="score CSV path")
-    p.add_argument("--csv", help="alias of --out (plot-ready scores)")
     p.add_argument("--verify", action="store_true",
                    help="report max abs error vs the exact solver (small graphs)")
-    p.add_argument("--report")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_ppr, target=None)
 
     p = sub.add_parser("cluster", help="seeded sweep-cut clustering")
-    add_graph_arg(p)
+    add_run_args(p, "sweep prefix conductances CSV (plot-ready)")
     p.add_argument("--seed-vertex", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--target-volume", type=int, required=True)
     p.add_argument("--T", type=int, default=64)
     p.add_argument("--M", type=int, default=50_000)
-    add_cluster_args(p)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="cut set file, one vertex per line")
-    p.add_argument("--csv", help="sweep prefix conductances CSV (plot-ready)")
-    p.add_argument("--report")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("compare-baseline",
                        help="budget cost of rooted walks vs uniform stitching")
-    add_graph_arg(p)
+    add_run_args(p, "per-algorithm cost table CSV (plot-ready)")
     p.add_argument("--root", type=int, required=True)
     add_engine_args(p)
-    add_cluster_args(p)
     p.add_argument("--baseline-tau", type=float, default=1.0)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--csv", help="per-algorithm cost table CSV (plot-ready)")
-    p.add_argument("--report")
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(func=cmd_compare_baseline)
 
     p = sub.add_parser("oracle-check", help="run oracle-backed invariant suites")
@@ -519,59 +544,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
-    # first pass only to find --config; then inject file values as defaults
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
     try:
-        if known.config:
-            overrides = read_config_file(known.config)
-            ap.set_defaults(**overrides)
-            for sub_parser in ap._subparsers._group_actions[0].choices.values():
-                keys = set()
-                for action in sub_parser._actions:
-                    keys.add(action.dest)
-                    if action.dest in overrides:
-                        action.required = False
-                sub_parser.set_defaults(
-                    **{k: v for k, v in overrides.items() if k in keys})
-        args = ap.parse_args(argv)
-        _coerce_config_types(args)
+        args = build_parser().parse_args(splice_config(argv))
         return args.func(args)
-    except (UsageError, EdgeListParseError, GraphError, ParameterError, PPRError,
-            ClusterConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except StitchFailure as exc:
+    except (EngineError, WalkShortfall) as exc:
         print(f"fail: {exc}", file=sys.stderr)
         return EXIT_ALGO
+    except (UsageError, GraphError, ParameterError, PPRError, ClusterConfigError,
+            OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except EngineError as exc:
-        print(f"fail: {exc}", file=sys.stderr)
-        return EXIT_ALGO
-
-
-_INT_KEYS = {"root", "length", "target", "machines", "capacity", "seed", "T", "M",
-             "seed_vertex", "target_volume"}
-_FLOAT_KEYS = {"growth", "theta", "b0", "tau", "confidence", "scale", "alpha",
-               "eta", "baseline_tau"}
-_BOOL_KEYS = {"strict", "verify", "timings"}
-
-
-def _coerce_config_types(args: argparse.Namespace) -> None:
-    """Config-file values arrive as strings; coerce them to flag types."""
-    for key, val in vars(args).items():
-        if not isinstance(val, str):
-            continue
-        if key in _INT_KEYS:
-            setattr(args, key, int(val))
-        elif key in _FLOAT_KEYS:
-            setattr(args, key, float(val))
-        elif key in _BOOL_KEYS:
-            setattr(args, key, val.lower() in ("1", "true", "yes", "on"))
 
 
 if __name__ == "__main__":

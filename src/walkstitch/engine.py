@@ -106,7 +106,6 @@ class StitchParams:
     mode: str = "practical"
     fail_policy: str = "tolerate"
     confidence: float = 1.0
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.length < 1 or self.length & (self.length - 1):
@@ -167,7 +166,7 @@ def theory_params(n: int, length: int, growth: float, confidence: float = 1.0, *
     return StitchParams(length=length, target=target, growth=growth,
                         threshold=theta, base_budget=base, surplus=tau,
                         laziness=laziness, mode="theory", fail_policy=fail_policy,
-                        confidence=confidence, scale=scale)
+                        confidence=confidence)
 
 
 def desk_params(length: int, target: int, *, growth: float = 10.0,

@@ -166,8 +166,8 @@ def load_edge_list(source, drop_self_loops: bool = True, dedupe: bool = True) ->
             a, b = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise EdgeListParseError(lineno, f"non-integer token in {tokens!r}") from None
-        if a < 0 or b < 0:
-            raise EdgeListParseError(lineno, "negative vertex id")
+        if not (0 <= a < 1 << 64 and 0 <= b < 1 << 64):
+            raise EdgeListParseError(lineno, "vertex id outside [0, 2^64)")
         for x in (a, b):
             if x not in remap:
                 remap[x] = len(remap)
@@ -246,21 +246,27 @@ def save_cache(g: Graph, path: str) -> None:
 
 
 def load_cache(path: str) -> Graph:
+    """Read a save_cache file; a truncated or inconsistent one raises GraphError."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != _CACHE_MAGIC:
         raise GraphError(f"not a graph cache file: bad magic {data[:4]!r}")
-    off = 4
-    n, m = (int(x) for x in np.frombuffer(data, dtype="<u8", count=2, offset=off))
-    off += 16
-    degrees = np.frombuffer(data, dtype="<u8", count=n, offset=off).astype(np.int64)
-    off += 8 * n
-    neighbors = np.frombuffer(data, dtype="<u8", count=2 * m, offset=off).astype(np.int64)
-    off += 16 * m
-    k = int(np.frombuffer(data, dtype="<u8", count=1, offset=off)[0])
-    off += 8
-    id_map = tuple(int(x) for x in np.frombuffer(data, dtype="<u8", count=k, offset=off))
+    if len(data) < 20:
+        raise GraphError(f"{path}: truncated graph cache header")
+    n, m = (int(x) for x in np.frombuffer(data, dtype="<u8", count=2, offset=4))
+    need = 4 + 8 * (3 + 2 * n + 2 * m)  # magic, n, m, degrees, neighbors, k, id map
+    if len(data) != need:
+        raise GraphError(f"{path}: graph cache has {len(data)} bytes, "
+                         f"n={n} and m={m} need {need}")
+    words = np.frombuffer(data, dtype="<u8", offset=20)
+    degrees, neighbors = words[:n], words[n:n + 2 * m]
+    # degrees <= 2m keeps their uint64 sum from wrapping round to 2m
+    if (m < 1 or int(words[n + 2 * m]) != n or np.any(degrees > 2 * m)
+            or int(degrees.sum()) != 2 * m or int(neighbors.max()) >= n):
+        raise GraphError(f"{path}: corrupt graph cache: the id-map count must be n, "
+                         "the degrees must sum to 2m and neighbors must be < n")
+    degrees = degrees.astype(np.int64)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
-    return Graph(n=n, m=m, offsets=offsets, neighbors=neighbors,
-                 degrees=degrees, id_map=id_map)
+    return Graph(n=n, m=m, offsets=offsets, neighbors=neighbors.astype(np.int64),
+                 degrees=degrees, id_map=tuple(int(x) for x in words[n + 2 * m + 1:]))

@@ -30,16 +30,17 @@ class PPRError(ValueError):
     pass
 
 
+class WalkShortfall(PPRError):
+    """Fewer usable walks than the M the estimate needs."""
+
+
 @dataclass(frozen=True)
 class PPRParams:
-    """alpha: teleport probability; eta: additive error target;
-    T: truncation length; M: walk sample count."""
+    """alpha: teleport probability; T: truncation length; M: walk sample count."""
 
     alpha: float
-    eta: float | None
     T: int
     M: int
-    mode: str = "desk"
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
@@ -49,17 +50,18 @@ class PPRParams:
 
     @classmethod
     def theory(cls, n: int, alpha: float, eta: float) -> "PPRParams":
-        """T = ceil(10 ln n / alpha), M = ceil(10^6 ln^3 n / (eta^2 alpha^2))."""
+        """T = ceil(10 ln n / alpha), M = ceil(10^6 ln^3 n / (eta^2 alpha^2))
+        for additive error target eta."""
         if eta <= 0:
             raise PPRError("eta must be positive")
         log_n = math.log(n)
         T = math.ceil(10.0 * log_n / alpha)
         M = math.ceil(1e6 * log_n ** 3 / (eta * eta * alpha * alpha))
-        return cls(alpha=alpha, eta=eta, T=T, M=M, mode="theory")
+        return cls(alpha=alpha, T=T, M=M)
 
     @classmethod
-    def desk(cls, alpha: float, T: int, M: int, eta: float | None = None) -> "PPRParams":
-        return cls(alpha=alpha, eta=eta, T=T, M=M, mode="desk")
+    def desk(cls, alpha: float, T: int, M: int) -> "PPRParams":
+        return cls(alpha=alpha, T=T, M=M)
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ def approx_ppr(g: Graph, root: int, params: PPRParams, batch: WalkBatch) -> Scor
     if batch.length < params.T:
         raise PPRError(f"walks have length {batch.length}, need >= T={params.T}")
     if batch.count < params.M:
-        raise PPRError(f"need M={params.M} walks, have {batch.count}")
+        raise WalkShortfall(f"need M={params.M} walks, have {batch.count}")
     walks = batch.verts[:params.M]
     if walks.shape[0] and not np.all(walks[:, 0] == root):
         raise PPRError("walk batch does not start at the requested root")
@@ -263,7 +265,7 @@ def local_cluster(g: Graph, seed_vertex: int, alpha: float, target_volume: int, 
         q = ScoreVector.indicator(seed_vertex)
         walks_ok = 0
     else:
-        params = PPRParams.desk(alpha=alpha, T=T, M=M, eta=eta)
+        params = PPRParams.desk(alpha=alpha, T=T, M=M)
         if batch is None:
             wp = walk_params or _default_cluster_walk_params(T, M, "half")
             if not wp.lazy:

@@ -38,6 +38,18 @@ class TestIngest:
         assert run_cli("ingest", bad, tmp_path / "g.lwg") == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_non_utf8_edge_list_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1\n1 \xff\n")
+        assert run_cli("ingest", bad, tmp_path / "g.lwg") == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8")
+
+    def test_truncated_cache_exit_2(self, cliques_cache, capsys):
+        with open(cliques_cache, "r+b") as f:
+            f.truncate(100)
+        assert run_cli("walks", "--graph", cliques_cache, "--root", 0, "--seed", 1) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestWalks:
     def test_cycles_metric(self, cliques_cache, tmp_path):
@@ -178,6 +190,26 @@ class TestPPRCommand:
         assert data["max_abs_error_vs_exact"] <= 0.05
         assert abs(data["mass"] - (1 - 0.8 ** 17)) < 1e-12
 
+    def test_walk_shortfall_exit_1(self, cliques_cache, tmp_path, capsys):
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("1 1 ok 1 1 1\n" * 3)
+        rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1, "--alpha", 0.3,
+                     "--T", 2, "--M", 5, "--walks", wfile, "--laziness", "half",
+                     "--seed", 6)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("fail: need M=5 walks, have 3")
+
+    @pytest.mark.parametrize("bad,message", [("x", ":2: expected 64-bit integers"),
+                                             ("30", ": vertex ids must lie in [0, 30)")])
+    def test_bad_walk_vertex_exit_2(self, bad, message, cliques_cache, tmp_path, capsys):
+        wfile = tmp_path / "w.txt"
+        wfile.write_text(f"1 1 ok 1 1 1\n1 1 ok 1 {bad} 1\n")
+        rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1, "--alpha", 0.3,
+                     "--T", 2, "--M", 2, "--walks", wfile, "--laziness", "half",
+                     "--seed", 6)
+        assert rc == 2
+        assert f"error: {wfile}{message}" in capsys.readouterr().err
+
     def test_no_walks_no_engine_params_exit_2(self, cliques_cache):
         rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1,
                      "--alpha", 0.2, "--seed", 4)
@@ -278,3 +310,50 @@ class TestConfigFile:
         assert data["config"]["target"] == 200  # CLI wins
         assert data["config"]["length"] == 4    # from config file
         assert data["seed"] == 5
+
+    @pytest.mark.parametrize("bad", ["taget=5", "param_mode=thoery", "target=abc"])
+    def test_bad_config_line_exit_2_runs_nothing(self, bad, cliques_cache, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(cli, "run_budgeted", None)  # any engine call would raise
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"length=4\nseed=5\ngraph={cliques_cache}\nroot=0\n{bad}\n")
+        report = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", cfg, "walks", "--report", report)
+        assert exc.value.code == 2
+        assert not report.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["walks", "--graph", "G", "--root", 0, "--length", 4, "--target", 100,
+         "--theta", 20, "--b0", 10, "--fail-policy", "abort", "--seed", 3],
+        ["ppr", "--graph", "G", "--root", 1, "--alpha", 0.2, "--T", 8, "--M", 500,
+         "--target", 600, "--length", 8, "--laziness", "half", "--seed", 4,
+         "--verify"],
+        ["cluster", "--graph", "G", "--seed-vertex", 1, "--alpha", 0.1,
+         "--target-volume", 211, "--T", 8, "--M", 500, "--seed", 4],
+    ], ids=["walks", "ppr", "cluster"])
+    def test_config_report_matches_flags(self, argv, cliques_cache, tmp_path):
+        argv = [cliques_cache if a == "G" else a for a in argv]
+        report = tmp_path / "r.json"
+        assert run_cli(*argv, "--report", report) == 0
+        from_flags = report.read_bytes()
+        report.unlink()
+        cfg = tmp_path / "run.cfg"
+        lines, rest = [], argv[1:]
+        while rest:
+            key = rest.pop(0)[2:]
+            val = "true" if key == "verify" else rest.pop(0)
+            lines.append(f"{key.replace('-', '_')} = {val}")
+        cfg.write_text("# same run as flags\n" + "\n".join(lines) + "\n")
+        assert run_cli("--config", cfg, argv[0], "--report", report) == 0
+        assert report.read_bytes() == from_flags
+
+    @pytest.mark.parametrize("value,expected", [
+        ("true", True), ("1", True), ("YES", True), ("on", True),
+        ("false", False), ("0", False), ("off", False), ("", False)])
+    def test_store_true_spellings(self, value, expected, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"strict={value}\n")
+        argv = cli.splice_config(["--config", str(cfg), "walks", "--graph", "g",
+                                  "--seed", "1"])
+        assert cli.build_parser().parse_args(argv).strict is expected

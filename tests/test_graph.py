@@ -36,6 +36,13 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError):
             load_edge_list("0 -1")
 
+    def test_id_beyond_64_bits_rejected(self, tmp_path):
+        with pytest.raises(EdgeListParseError, match="2\\^64"):
+            load_edge_list(f"0 {1 << 64}")
+        path = str(tmp_path / "g.lwg")
+        save_cache(load_edge_list(f"0 {(1 << 64) - 1}"), path)
+        assert load_cache(path).id_map == (0, (1 << 64) - 1)
+
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphError):
             load_edge_list("# only comments\n")
@@ -175,6 +182,28 @@ class TestCache:
         assert np.array_equal(h.neighbors, g.neighbors)
         assert np.array_equal(h.offsets, g.offsets)
         assert h.id_map == (5, 7, 9)
+
+    @pytest.mark.parametrize("keep", [4, 12, 20, 27, 100, -9, -8, -1])
+    def test_truncated_cache_raises_graph_error(self, keep, tmp_path):
+        path = tmp_path / "g.lwg"
+        save_cache(cycle_graph(12), str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:keep])
+        with pytest.raises(GraphError):
+            load_cache(str(path))
+
+    @pytest.mark.parametrize("word,value", [
+        (2, 3),        # degree of vertex 0 changed, so degrees no longer sum to 2m
+        (14, 12),      # first neighbor id out of range
+        (38, 11)])     # id-map count differs from n
+    def test_corrupt_cache_raises_graph_error(self, word, value, tmp_path):
+        path = tmp_path / "g.lwg"
+        save_cache(cycle_graph(12), str(path))
+        words = np.frombuffer(path.read_bytes(), dtype="<u8", offset=4).copy()
+        words[word] = value
+        path.write_bytes(b"LWG1" + words.tobytes())
+        with pytest.raises(GraphError, match="corrupt"):
+            load_cache(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
