@@ -324,7 +324,10 @@ def cmd_ppr(args) -> int:
             verts = read_walk_file(args.walks, root=args.root)
             if verts.min() < 0 or verts.max() >= g.n:
                 raise UsageError(f"{args.walks}: vertex ids must lie in [0, {g.n})")
-            batch = WalkBatch(verts, lazy=args.laziness == "half")
+            lazy = args.laziness == "half"
+            if not validate_walks(g, verts, lazy=lazy):
+                raise UsageError(f"{args.walks}: a walk step is not an edge of the graph")
+            batch = WalkBatch(verts, lazy=lazy)
         elif args.target is not None:
             args_length = max(args.length, pparams.T)
             engine_args = argparse.Namespace(**vars(args))

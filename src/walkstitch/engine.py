@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
@@ -253,24 +253,13 @@ def update_budgets(walks: np.ndarray, exponent: int, params: StitchParams,
     return _budget_from_float(g, raw.T)
 
 
-@dataclass
-class WalkStore:
-    """Homogeneous-length walk segments: row i is verts[i] with first step
-    label labels[i]. All segments in a store belong to one budgeting cycle."""
-
-    verts: np.ndarray   # (N, s+1) int32
-    labels: np.ndarray  # (N,) int16
-    cycle: int
-
-    @property
-    def segment_length(self) -> int:
-        return self.verts.shape[1] - 1
-
-
 def init_walks(g: Graph, budgets: BudgetTable, params: StitchParams,
-               master_seed: int, cycle: int = 1) -> WalkStore:
+               master_seed: int, cycle: int = 1
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Materialize budgets as length-1 segments (uniform incident edges).
 
+    Returns (start, end, labels): int32 start and end vertices and the int16
+    first step label of every segment, grouped by start vertex, then label.
     With laziness="half" each segment is, independently with probability 1/2,
     the self-step (v, v) instead of a uniform neighbor step.
     """
@@ -292,7 +281,7 @@ def init_walks(g: Graph, budgets: BudgetTable, params: StitchParams,
     del picks
     if params.lazy:
         ends = np.where(gen.random(total) < 0.5, starts, ends)
-    return WalkStore(verts=np.column_stack([starts, ends]), labels=labels, cycle=cycle)
+    return starts, ends, labels
 
 
 @dataclass
@@ -320,7 +309,6 @@ class StitchResult:
     cycle: int
     attempted_first: np.ndarray       # per-vertex count of label-1 segments created
     failed: List[Tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
-    served: int = 0
 
     def leaf_ids(self, rows: np.ndarray, level: int | None = None) -> np.ndarray:
         """Leaf segment ids under segments `rows` of `level` (default: the
@@ -400,18 +388,13 @@ def stitch(g: Graph, budgets: BudgetTable, params: StitchParams, cluster: Cluste
     is what the modelled cluster would ship; the simulation itself moves
     only indices.
     """
-    store = init_walks(g, budgets, params, master_seed, cycle)
-    labels = store.labels
+    leaf_start, leaf_end, labels = init_walks(g, budgets, params, master_seed, cycle)
     if labels.size > np.iinfo(np.int32).max:
         raise EngineError(f"{labels.size} segments exceed the int32 segment index")
-    leaf_start = np.ascontiguousarray(store.verts[:, 0])
-    leaf_end = np.ascontiguousarray(store.verts[:, 1])
-    del store
     start, end = leaf_start, leaf_end
     attempted_first = np.bincount(start[labels == 1], minlength=g.n)
     levels: List[Tuple[np.ndarray, np.ndarray]] = []
     failed: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    served_total = 0
     theory = params.mode == "theory"
     key_span = params.length + 1
     n_keys = g.n * key_span if theory else g.n
@@ -473,12 +456,11 @@ def stitch(g: Graph, budgets: BudgetTable, params: StitchParams, cluster: Cluste
         cluster.exchange_bulk(start, words=s + 4, kind=KIND_REPLY)
         labels = labels[served_req]
         levels.append((served_req.astype(np.int32), served_srv.astype(np.int32)))
-        served_total += int(served_req.size)
 
     assert np.all(labels == 1)
     return StitchResult(leaf_start=leaf_start, leaf_end=leaf_end, levels=levels,
                         starts=start, cycle=cycle, attempted_first=attempted_first,
-                        failed=failed, served=served_total)
+                        failed=failed)
 
 
 def cycle_plan(target: int, growth: float) -> Tuple[int, int]:
@@ -529,19 +511,7 @@ class RunMetrics:
     violations: List[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "cycles": self.cycles,
-            "supersteps": self.supersteps,
-            "paper_rounds": self.paper_rounds,
-            "per_cycle_budget_totals": list(self.per_cycle_budget_totals),
-            "total_budget": self.total_budget,
-            "max_machine_words": self.max_machine_words,
-            "rooted_target": self.rooted_target,
-            "rooted_ok": self.rooted_ok,
-            "rooted_attempted_final": self.rooted_attempted_final,
-            "failure_rate_final": self.failure_rate_final,
-            "violations": list(self.violations),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -591,7 +561,7 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
 
     for i in range(1, calib + 2):
         if keep_history:
-            history.append(BudgetTable(budgets.values.copy()))
+            history.append(budgets)
         budget_total = budgets.total()
         try:
             res = stitch(g, budgets, params, cluster, seed, cycle=i)
@@ -599,7 +569,7 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
             raise StitchFailure(exc.vertex, exc.label, exc.phase, exc.deficit, i) from None
         rooted = res.walks(np.flatnonzero(np.isin(res.starts, roots_arr)))
         if keep_history:
-            rooted_history.append(rooted.copy())
+            rooted_history.append(rooted)
         attempted = int(res.attempted_first[roots_arr].sum())
         if i > calib:
             failed_walks = [(phase, res.walks(ids[np.isin(starts, roots_arr)], phase - 1))
@@ -621,7 +591,7 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
                                 exponent_used=expo))
 
     final = stats[-1]
-    # store order reflects serving keys (walk midpoints); shuffle so that any
+    # row order reflects serving keys (walk midpoints); shuffle so that any
     # prefix of the returned walks is an unbiased uniform subsample
     shuffle = substream(seed, SHUFFLE_STREAM, calib + 1)
     rooted_walks = rooted[shuffle.permutation(rooted.shape[0])]
@@ -660,15 +630,11 @@ def run_budgeted(g: Graph, root: int, params: StitchParams,
                       keep_history=keep_history)
 
 
-def dyadic_decompose(budgets) -> List[Tuple[List[int], int]]:
-    """Split a per-vertex budget vector into groups whose positive entries
-    agree within a factor two (bucketed by floor(log2 b)); each group is
-    served with its maximum entry as the common budget."""
-    if isinstance(budgets, dict):
-        items = sorted((int(v), int(b)) for v, b in budgets.items())
-    else:
-        arr = np.asarray(budgets)
-        items = [(int(v), int(arr[v])) for v in range(arr.size) if arr[v] != 0]
+def dyadic_decompose(budgets: Dict[int, int]) -> List[Tuple[List[int], int]]:
+    """Split a {vertex: budget} map into groups whose positive entries agree
+    within a factor two (bucketed by floor(log2 b)); each group is served
+    with its maximum entry as the common budget."""
+    items = sorted((int(v), int(b)) for v, b in budgets.items())
     if any(b < 0 for _, b in items):
         raise ParameterError("budgets must be non-negative")
     items = [(v, b) for v, b in items if b > 0]
@@ -693,11 +659,11 @@ class MultiSourceResult:
     metrics: RunMetrics
 
 
-def run_multi_source(g: Graph, budgets, params: StitchParams,
+def run_multi_source(g: Graph, budgets: Dict[int, int], params: StitchParams,
                      cluster: Cluster | None = None, seed: int = 0) -> MultiSourceResult:
-    """Walks for an arbitrary per-vertex budget vector.
+    """Walks for an arbitrary {vertex: budget} map.
 
-    The vector is decomposed dyadically; each group runs the equal-budget
+    The map is decomposed dyadically; each group runs the equal-budget
     multi-root variant (rooted walks pooled across the group's roots, with
     the visit-count term scaled by the group size). Groups run sequentially
     here while modelling a parallel execution: memory is the sum over
@@ -705,11 +671,7 @@ def run_multi_source(g: Graph, budgets, params: StitchParams,
     """
     cluster = cluster or Cluster()
     groups = dyadic_decompose(budgets)
-    if isinstance(budgets, dict):
-        requested = {int(v): int(b) for v, b in budgets.items() if b > 0}
-    else:
-        arr = np.asarray(budgets)
-        requested = {int(v): int(arr[v]) for v in np.flatnonzero(arr)}
+    requested = {int(v): int(b) for v, b in budgets.items() if b > 0}
     walks_by_root: Dict[int, np.ndarray] = {}
     results: List[RunResult] = []
     group_supersteps: List[int] = []

@@ -1,9 +1,9 @@
 """Immutable undirected graphs in compressed adjacency form.
 
 Covers ingestion from SNAP-style edge lists, a binary cache format, and the
-combinatorial quantities (degree, volume, boundary, conductance, stationary
-distribution) that everything else consumes. Graphs are simple: duplicate
-edges are merged and self-loops are dropped at ingestion.
+combinatorial quantities (degree, volume, boundary, conductance) that
+everything else consumes. Graphs are simple: duplicate edges are merged and
+self-loops are dropped at ingestion.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
-
-from .vectors import ScoreVector
 
 _CACHE_MAGIC = b"LWG1"
 
@@ -80,37 +78,15 @@ class Graph:
                 assert self.has_edge(int(u), v), f"asymmetric edge ({v},{u})"
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """Distinct vertex ids with their total degree cached."""
-
-    ids: Tuple[int, ...]
-    volume: int
-
-    @classmethod
-    def of(cls, g: Graph, ids: Iterable[int]) -> "VertexSet":
-        ids = tuple(int(v) for v in ids)
-        if len(set(ids)) != len(ids):
-            raise GraphError("duplicate vertex ids in set")
-        for v in ids:
-            if not 0 <= v < g.n:
-                raise GraphError(f"vertex id {v} out of range [0, {g.n})")
-        vol = int(g.degrees[list(ids)].sum()) if ids else 0
-        return cls(ids, vol)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self):
-        return iter(self.ids)
-
-
-def _as_vertex_ids(g: Graph, s) -> Tuple[Tuple[int, ...], int]:
-    """Normalize a VertexSet or iterable of ids; returns (ids, volume)."""
-    if isinstance(s, VertexSet):
-        return s.ids, s.volume
-    vs = VertexSet.of(g, s)
-    return vs.ids, vs.volume
+def _as_vertex_ids(g: Graph, s: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
+    """Distinct in-range vertex ids of s and their volume."""
+    ids = tuple(int(v) for v in s)
+    if len(set(ids)) != len(ids):
+        raise GraphError("duplicate vertex ids in set")
+    for v in ids:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex id {v} out of range [0, {g.n})")
+    return ids, int(g.degrees[list(ids)].sum())
 
 
 def from_edge_array(n: int, edges: np.ndarray, id_map: Tuple[int, ...] | None = None) -> Graph:
@@ -131,22 +107,17 @@ def from_edge_array(n: int, edges: np.ndarray, id_map: Tuple[int, ...] | None = 
                  degrees=degrees, id_map=id_map)
 
 
-def load_edge_list(source, drop_self_loops: bool = True, dedupe: bool = True) -> Graph:
+def load_edge_list(source) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
     Lines starting with '#' are comments. Vertex ids may be arbitrary
     non-negative integers; they are remapped to contiguous 0-based ids in
     order of first appearance, and the mapping is retained on the graph.
 
-    The walk model runs on simple graphs, so `drop_self_loops=False` and
-    `dedupe=False` are rejected rather than silently honored.
+    The walk model runs on simple graphs: duplicate edges are merged and
+    self-loops dropped (their vertex ids stay registered). Laziness is added
+    by the walk engine, not by self-loops.
     """
-    if not drop_self_loops:
-        raise GraphError(
-            "self-loops are not representable: walks draw uniform incident edges "
-            "of a simple graph (laziness is injected by the walk engine instead)")
-    if not dedupe:
-        raise GraphError("duplicate edges are not representable: multigraphs unsupported")
     if isinstance(source, (str, bytes)):
         lines: Iterable[str] = io.StringIO(source if isinstance(source, str) else source.decode())
     else:
@@ -186,13 +157,13 @@ def load_edge_list(source, drop_self_loops: bool = True, dedupe: bool = True) ->
     return from_edge_array(n, edges, id_map=id_map)
 
 
-def volume(g: Graph, s) -> int:
+def volume(g: Graph, s: Iterable[int]) -> int:
     """Vol(S): sum of degrees over S."""
     _, vol = _as_vertex_ids(g, s)
     return vol
 
 
-def boundary_size(g: Graph, s) -> int:
+def boundary_size(g: Graph, s: Iterable[int]) -> int:
     """Number of edges with exactly one endpoint in S."""
     ids, _ = _as_vertex_ids(g, s)
     if not ids:
@@ -206,7 +177,7 @@ def boundary_size(g: Graph, s) -> int:
     return cut
 
 
-def conductance(g: Graph, s) -> Fraction:
+def conductance(g: Graph, s: Iterable[int]) -> Fraction:
     """Phi(S) = |boundary(S)| / min(Vol(S), 2m - Vol(S)) as an exact rational.
 
     Raises UndefinedConductanceError when the denominator would be zero
@@ -218,15 +189,6 @@ def conductance(g: Graph, s) -> Fraction:
         raise UndefinedConductanceError(
             f"undefined conductance: Vol(S)={vol}, Vol(G)={g.volume}")
     return Fraction(boundary_size(g, ids), denom)
-
-
-def stationary(g: Graph) -> ScoreVector:
-    """Stationary distribution: degree(v) / Vol(G)."""
-    if g.m < 1:
-        raise GraphError("stationary distribution undefined for edgeless graph")
-    vol = g.volume
-    return ScoreVector({v: g.degree(v) / vol for v in range(g.n) if g.degrees[v] > 0},
-                       mass=float(g.degrees.sum()) / vol)
 
 
 def save_cache(g: Graph, path: str) -> None:

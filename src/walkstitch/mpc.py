@@ -11,7 +11,7 @@ single "paper round".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -83,11 +83,6 @@ class RoundLedger:
     def max_machine_words(self) -> int:
         return max((r.max_words_per_machine for r in self.rounds), default=0)
 
-    def transcript(self) -> Tuple[Tuple[str, int, int, int], ...]:
-        """Canonical (kind, messages, words, max-machine-words) tuple per round."""
-        return tuple((r.kind, r.messages_sent, r.total_words, r.max_words_per_machine)
-                     for r in self.rounds)
-
 
 def assign_machine(cfg: ClusterConfig, v: int) -> int:
     """Stable machine for vertex v: splitmix64(v) mod num_machines."""
@@ -102,9 +97,6 @@ class Cluster:
     def __init__(self, cfg: ClusterConfig | None = None):
         self.cfg = cfg or ClusterConfig()
         self.ledger = RoundLedger()
-
-    def assign_machine(self, v: int) -> int:
-        return assign_machine(self.cfg, v)
 
     def assign_machines(self, vs: np.ndarray) -> np.ndarray:
         if self.cfg.num_machines == 1:

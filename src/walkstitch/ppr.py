@@ -80,23 +80,6 @@ class WalkBatch:
         return self.verts.shape[1] - 1
 
 
-def empirical_step_distributions(walks: np.ndarray, T: int, n: int | None = None
-                                 ) -> List[ScoreVector]:
-    """q_t(v) = (# walks whose t-th step lands on v) / M, for t = 1..T.
-
-    Each vector has mass exactly 1 (integer counts over M walks).
-    """
-    walks = np.asarray(walks)
-    if walks.ndim != 2 or walks.shape[0] == 0:
-        raise PPRError("need a non-empty batch of walks")
-    if walks.shape[1] - 1 < T:
-        raise PPRError(f"walks have length {walks.shape[1] - 1}, need >= {T}")
-    m = walks.shape[0]
-    n = n or int(walks.max()) + 1
-    return [ScoreVector.from_counts(np.bincount(walks[:, t], minlength=n), m)
-            for t in range(1, T + 1)]
-
-
 def approx_ppr(g: Graph, root: int, params: PPRParams, batch: WalkBatch) -> ScoreVector:
     """Estimate the PageRank vector of chi_root from M lazy walks.
 
@@ -283,33 +266,3 @@ def local_cluster(g: Graph, seed_vertex: int, alpha: float, target_volume: int, 
         bound=conductance_bound(alpha, target_volume),
         teleport_dominated=teleport, sweep=sw, scores=q, walks_ok=walks_ok)
 
-
-def local_cluster_doubling(g: Graph, seed_vertex: int, alpha: float, max_volume: int,
-                           **kwargs) -> LocalClusterResult:
-    """Heuristic wrapper: try target volumes d(seed) * 2^i up to max_volume
-    on one shared walk batch and keep the best-conductance cut."""
-    d = int(g.degrees[seed_vertex])
-    if d == 0:
-        raise PPRError(f"seed vertex {seed_vertex} is isolated")
-    volumes = []
-    v = d
-    while v <= max_volume:
-        volumes.append(v)
-        v *= 2
-    if not volumes:
-        volumes = [d]
-    T = kwargs.pop("T", DESK_CLUSTER_T)
-    M = kwargs.pop("M", DESK_CLUSTER_M)
-    batch = kwargs.pop("batch", None)
-    if batch is None and alpha < 1.0:
-        wp = kwargs.pop("walk_params", None) or _default_cluster_walk_params(T, M, "half")
-        run = run_budgeted(g, seed_vertex, wp,
-                           cluster=kwargs.pop("cluster", None),
-                           seed=kwargs.pop("seed", 0))
-        batch = WalkBatch(run.walks, lazy=True)
-    best: LocalClusterResult | None = None
-    for tv in volumes:
-        res = local_cluster(g, seed_vertex, alpha, tv, T=T, M=M, batch=batch, **kwargs)
-        if best is None or res.phi_exact < best.phi_exact:
-            best = res
-    return best

@@ -1,8 +1,8 @@
 """Sparse non-negative score vectors over vertex ids.
 
-Used for stationary distributions, step distributions and PageRank-style
-scores. Entries are floats keyed by vertex id; the total mass is cached so
-that vectors built from integer counts report an exact mass.
+Used for PageRank-style scores: walk estimates, exact oracle vectors and
+seed indicators. Entries are floats keyed by vertex id; the total mass is
+cached, so a vector built from a dense array reports that array's sum.
 """
 
 from __future__ import annotations
@@ -36,13 +36,6 @@ class ScoreVector:
         idx = np.flatnonzero(arr)
         return cls({int(v): float(arr[v]) for v in idx}, mass=float(arr.sum()))
 
-    @classmethod
-    def from_counts(cls, counts: np.ndarray, total: int) -> "ScoreVector":
-        """Empirical vector counts/total; mass comes from the exact integer sum."""
-        idx = np.flatnonzero(counts)
-        scores = {int(v): float(counts[v]) / total for v in idx}
-        return cls(scores, mass=int(counts.sum()) / total)
-
     def mass(self) -> float:
         return self._mass
 
@@ -57,11 +50,6 @@ class ScoreVector:
         for v, x in self._scores.items():
             out[v] = x
         return out
-
-    def scaled(self, c: float) -> "ScoreVector":
-        if c < 0:
-            raise ValueError("scale factor must be non-negative")
-        return ScoreVector({v: c * x for v, x in self._scores.items()}, mass=c * self._mass)
 
     def __getitem__(self, v: int) -> float:
         return self._scores.get(int(v), 0.0)

@@ -199,8 +199,11 @@ class TestPPRCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith("fail: need M=5 walks, have 3")
 
+    # 1 and 20 lie in different cliques of two_cliques(15) and the bridge
+    # does not join them, so the step 1 -> 20 is not an edge
     @pytest.mark.parametrize("bad,message", [("x", ":2: expected 64-bit integers"),
-                                             ("30", ": vertex ids must lie in [0, 30)")])
+                                             ("30", ": vertex ids must lie in [0, 30)"),
+                                             ("20", ": a walk step is not an edge of the graph")])
     def test_bad_walk_vertex_exit_2(self, bad, message, cliques_cache, tmp_path, capsys):
         wfile = tmp_path / "w.txt"
         wfile.write_text(f"1 1 ok 1 1 1\n1 1 ok 1 {bad} 1\n")

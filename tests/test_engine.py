@@ -161,17 +161,18 @@ class TestInitWalks:
         g = path_graph(2)
         p = desk_params(length=2, target=10, tau=1.0)
         b = BudgetTable(np.array([[5, 0], [0, 0]], dtype=np.int64))
-        store = init_walks(g, b, p, master_seed=1)
-        assert store.verts.shape == (5, 2)
-        assert np.all(store.verts[:, 0] == 0) and np.all(store.verts[:, 1] == 1)
-        assert np.all(store.labels == 1)
+        start, end, labels = init_walks(g, b, p, master_seed=1)
+        assert (start.dtype, end.dtype, labels.dtype) == (np.int32, np.int32, np.int16)
+        assert start.shape == end.shape == labels.shape == (5,)
+        assert np.all(start == 0) and np.all(end == 1)
+        assert np.all(labels == 1)
 
     def test_neighbor_split_concentrates(self):
         g = path_graph(3)
         p = desk_params(length=1, target=10, tau=1.0)
         b = BudgetTable(np.array([[0], [10_000], [0]], dtype=np.int64))
-        store = init_walks(g, b, p, master_seed=3)
-        counts = np.bincount(store.verts[:, 1], minlength=3)
+        _, end, _ = init_walks(g, b, p, master_seed=3)
+        counts = np.bincount(end, minlength=3)
         assert 4600 <= counts[0] <= 5400
         assert 4600 <= counts[2] <= 5400
 
@@ -179,8 +180,8 @@ class TestInitWalks:
         g = path_graph(3)
         p = desk_params(length=1, target=10, tau=1.0, laziness="half")
         b = BudgetTable(np.array([[0], [10_000], [0]], dtype=np.int64))
-        store = init_walks(g, b, p, master_seed=3)
-        stays = int((store.verts[:, 1] == 1).sum())
+        _, end, _ = init_walks(g, b, p, master_seed=3)
+        stays = int((end == 1).sum())
         assert 4600 <= stays <= 5400
 
     def test_isolated_with_budget_rejected(self):
@@ -225,7 +226,8 @@ class TestStitch:
         res = stitch(g, BudgetTable(vals), p, Cluster(), master_seed=11)
         assert res.verts.shape[1] == 3
         assert validate_walks(g, res.verts, lazy=False)
-        assert res.served == res.verts.shape[0]  # L = 2 is a single phase
+        served = sum(req.size for req, _ in res.levels)
+        assert served == res.verts.shape[0]  # L = 2 is a single phase
 
     def test_request_reply_supersteps(self):
         g = complete_graph(3)
@@ -247,7 +249,7 @@ class TestStitch:
         vals[0, 1] = 5000
         res = stitch(g, BudgetTable(vals), p, Cluster(), master_seed=6)
         share = np.bincount(res.starts, minlength=5)[1:] / 2500
-        assert res.served == 5000
+        assert sum(req.size for req, _ in res.levels) == 5000
         assert np.all(np.abs(share - 0.5) <= 0.04)
 
 
@@ -449,10 +451,10 @@ class TestTheoryNoFail:
 
 class TestDyadicDecompose:
     def test_single_entry(self):
-        assert dyadic_decompose([5, 0, 0]) == [([0], 5)]
+        assert dyadic_decompose({0: 5, 1: 0, 2: 0}) == [([0], 5)]
 
     def test_bucketing(self):
-        groups = dyadic_decompose([1, 1, 2, 7])
+        groups = dyadic_decompose({0: 1, 1: 1, 2: 2, 3: 7})
         assert groups == [([0, 1], 1), ([2], 2), ([3], 7)]
 
     def test_single_big_entry(self):
@@ -462,7 +464,7 @@ class TestDyadicDecompose:
         rng = np.random.Generator(np.random.PCG64(0))
         b = rng.integers(0, 1 << 20, size=200)
         total = int(b.sum())
-        groups = dyadic_decompose(b)
+        groups = dyadic_decompose({v: int(x) for v, x in enumerate(b)})
         assert len(groups) <= math.ceil(math.log2(total)) + 1
         covered = sorted(v for members, _ in groups for v in members)
         assert covered == sorted(int(v) for v in np.flatnonzero(b))
@@ -473,7 +475,7 @@ class TestDyadicDecompose:
 
     def test_all_zero_rejected(self):
         with pytest.raises(ParameterError):
-            dyadic_decompose([0, 0])
+            dyadic_decompose({0: 0, 1: 0})
 
 
 class TestMultiSource:
