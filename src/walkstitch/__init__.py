@@ -7,7 +7,7 @@ from .graph import (Graph, GraphError, EdgeListParseError,
                     UndefinedConductanceError, load_edge_list, load_cache,
                     save_cache, volume, boundary_size, conductance)
 from .mpc import (Cluster, ClusterConfig, CapacityError, assign_machine)
-from .engine import (StitchParams, BudgetTable, StitchFailure,
+from .engine import (StitchParams, StitchFailure,
                      EngineError, ParameterError, theory_params, desk_params,
                      initial_budgets, init_walks, stitch, update_budgets,
                      run_budgeted, run_multi_source, uniform_stitching,

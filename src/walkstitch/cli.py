@@ -10,8 +10,9 @@ flags win. store_true flags are written `strict=true`.
 
 Exit codes: 0 success; 1 algorithmic failure (abort-mode stitch failure,
 fewer usable walks than --M, a failing oracle check); 2 usage or parse error
-(bad flag or config line; malformed, non-UTF-8 or missing input file; corrupt
-graph cache); 3 capacity violation in strict mode.
+(bad flag or config line; --root or --seed-vertex outside the graph;
+malformed, non-UTF-8 or missing input file; corrupt graph cache); 3 capacity
+violation in strict mode.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .engine import (EngineError, ParameterError, StitchParams, desk_params,
 from .graph import Graph, GraphError, load_cache, load_edge_list, save_cache
 from .mpc import CapacityError, Cluster, ClusterConfig, ClusterConfigError
 from .ppr import (PPRError, PPRParams, WalkBatch, WalkShortfall, approx_ppr,
-                  local_cluster)
+                  local_cluster, sweep)
+from .vectors import ScoreVector
 
 EXIT_OK = 0
 EXIT_ALGO = 1
@@ -291,9 +293,10 @@ def cmd_walks(args) -> int:
             (cycle, f"failed@{(1 << (phase - 1)) + 1}", chunk)
             for phase, chunk in run.failed_walks])
     if args.dump_budgets:
-        with open(args.dump_budgets, "w") as f:
-            for line in run.budget_history[-1].csv_lines():
-                f.write(line + "\n")
+        budgets = run.budget_history[-1]
+        vs, ks = np.nonzero(budgets)
+        _write_csv(args.dump_budgets, "vertex,label,budget",
+                   zip(vs.tolist(), (ks + 1).tolist(), budgets[vs, ks].tolist()))
     if args.csv:
         _write_csv(args.csv,
                    "cycle,budget_total,rooted_attempted,rooted_ok,failure_rate",
@@ -308,6 +311,8 @@ def cmd_walks(args) -> int:
 
 def cmd_ppr(args) -> int:
     g = load_graph(args.graph)
+    if not 0 <= args.root < g.n:
+        raise UsageError(f"--root {args.root} out of range [0, {g.n})")
     t0 = time.perf_counter()
     if args.ppr_mode == "theory":
         if args.eta is None:
@@ -317,8 +322,7 @@ def cmd_ppr(args) -> int:
         pparams = PPRParams.desk(args.alpha, args.T, args.M)
 
     if args.alpha >= 1.0:
-        from .vectors import ScoreVector
-        q = ScoreVector.indicator(args.root)
+        q = ScoreVector.indicator(args.root, g.n)
     else:
         if args.walks:
             verts = read_walk_file(args.walks, root=args.root)
@@ -342,11 +346,10 @@ def cmd_ppr(args) -> int:
         q = approx_ppr(g, args.root, pparams, batch)
 
     wall = time.perf_counter() - t0
+    supp = q.support()
     for path in (args.out, args.csv):
         if path:
-            with open(path, "w") as f:
-                for line in q.csv_lines():
-                    f.write(line + "\n")
+            _write_csv(path, "vertex,score", zip(supp.tolist(), q.dense[supp].tolist()))
     payload: Dict[str, object] = {
         "root": args.root, "alpha": args.alpha, "T": pparams.T, "M": pparams.M,
         "mass": q.mass(), "support_size": len(q),
@@ -456,8 +459,6 @@ def _check_cliques_cut() -> bool:
     members, phi = oracle.brute_conductance_min(g)
     if phi != Fraction(1, 13):
         return False
-    from .ppr import sweep
-    from .vectors import ScoreVector
     q = ScoreVector.from_dense(oracle.exact_ppr(g, 1, 0.1))
     return sweep(g, q).phi_exact == Fraction(1, 13)
 

@@ -193,32 +193,13 @@ def label_multipliers(params: StitchParams) -> np.ndarray:
     return params.surplus ** expo.astype(float)
 
 
-@dataclass
-class BudgetTable:
-    """Per-(vertex, label) walk budgets, dense (n, length) array of ints."""
-
-    values: np.ndarray
-
-    def total(self) -> int:
-        return int(self.values.sum())
-
-    def per_vertex_totals(self) -> np.ndarray:
-        return self.values.sum(axis=1)
-
-    def csv_lines(self):
-        yield "vertex,label,budget"
-        vs, ks = np.nonzero(self.values)
-        for v, k in zip(vs, ks):
-            yield f"{v},{k + 1},{self.values[v, k]}"
-
-
-def _budget_from_float(g: Graph, raw: np.ndarray) -> BudgetTable:
+def _budget_from_float(g: Graph, raw: np.ndarray) -> np.ndarray:
     vals = np.ceil(raw).astype(np.int64)
     vals[g.degrees == 0, :] = 0
-    return BudgetTable(vals)
+    return vals
 
 
-def initial_budgets(g: Graph, params: StitchParams) -> BudgetTable:
+def initial_budgets(g: Graph, params: StitchParams) -> np.ndarray:
     """Stationary-proportional start: base_budget * degree(v) * multiplier(k)."""
     mult = label_multipliers(params)
     raw = (params.base_budget * g.degrees.astype(float))[:, None] * mult[None, :]
@@ -226,8 +207,9 @@ def initial_budgets(g: Graph, params: StitchParams) -> BudgetTable:
 
 
 def update_budgets(walks: np.ndarray, exponent: int, params: StitchParams,
-                   g: Graph, num_roots: int = 1) -> BudgetTable:
-    """Re-estimate budgets from one cycle's rooted walks.
+                   g: Graph, num_roots: int = 1) -> np.ndarray:
+    """Re-estimate budgets from one cycle's rooted walks, as an (n, length)
+    int64 array: entry [v, k-1] is the budget of (vertex v, label k).
 
     For label k, kappa(v) counts walks whose k-th vertex (the vertex reached
     after k-1 steps) is v. Entries with kappa >= threshold get
@@ -253,26 +235,26 @@ def update_budgets(walks: np.ndarray, exponent: int, params: StitchParams,
     return _budget_from_float(g, raw.T)
 
 
-def init_walks(g: Graph, budgets: BudgetTable, params: StitchParams,
+def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
                master_seed: int, cycle: int = 1
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Materialize budgets as length-1 segments (uniform incident edges).
+    """Materialize an (n, length) int budget array as length-1 segments
+    (uniform incident edges): budgets[v, k-1] segments start at v with label k.
 
     Returns (start, end, labels): int32 start and end vertices and the int16
     first step label of every segment, grouped by start vertex, then label.
     With laziness="half" each segment is, independently with probability 1/2,
     the self-step (v, v) instead of a uniform neighbor step.
     """
-    values = budgets.values
-    if values.shape != (g.n, params.length):
-        raise EngineError("budget table shape does not match graph/params")
-    isolated = np.flatnonzero((g.degrees == 0) & (values.sum(axis=1) > 0))
+    if budgets.shape != (g.n, params.length):
+        raise EngineError("budget array shape does not match graph/params")
+    per_vertex = budgets.sum(axis=1)
+    isolated = np.flatnonzero((g.degrees == 0) & (per_vertex > 0))
     if isolated.size:
         raise EngineError(f"positive budget on isolated vertex {int(isolated[0])}")
-    per_vertex = values.sum(axis=1)
     total = int(per_vertex.sum())
     labels = np.repeat(
-        np.tile(np.arange(1, params.length + 1, dtype=np.int16), g.n), values.ravel())
+        np.tile(np.arange(1, params.length + 1, dtype=np.int16), g.n), budgets.ravel())
     starts = np.repeat(np.arange(g.n, dtype=np.int32), per_vertex)
     gen = substream(master_seed, INIT_STREAM, cycle)
     picks = gen.integers(0, np.repeat(g.degrees, per_vertex))
@@ -365,9 +347,10 @@ def _group_by_key(idx: np.ndarray, key: np.ndarray, n_keys: int,
     return idx[order]
 
 
-def stitch(g: Graph, budgets: BudgetTable, params: StitchParams, cluster: Cluster,
+def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster,
            master_seed: int, cycle: int = 1) -> StitchResult:
-    """One full doubling pass: init segments, then log2(length) phases.
+    """One full doubling pass over an (n, length) int budget array: init
+    segments, then log2(length) phases.
 
     A segment is carried as its start vertex, end vertex and first label
     only. In each phase every requester asks the vertex at its end for a
@@ -514,6 +497,19 @@ class RunMetrics:
         return asdict(self)
 
 
+def _run_metrics(cluster: Cluster, totals: List[int], target: int, ok: int,
+                 attempted: int) -> RunMetrics:
+    """Metrics of a run with one budget total per cycle, read off its cluster."""
+    report = cluster.report()
+    return RunMetrics(
+        cycles=len(totals), supersteps=report["supersteps"],
+        paper_rounds=report["paper_rounds"], per_cycle_budget_totals=totals,
+        total_budget=sum(totals), max_machine_words=report["max_machine_words"],
+        rooted_target=target, rooted_ok=ok, rooted_attempted_final=attempted,
+        failure_rate_final=(1.0 - ok / attempted) if attempted else 0.0,
+        violations=report["violations"])
+
+
 @dataclass
 class RunResult:
     walks: np.ndarray                  # ok rooted walks, (K, length+1)
@@ -522,11 +518,8 @@ class RunResult:
     metrics: RunMetrics
     cycle_stats: List[CycleStats]
     failed_walks: List[Tuple[int, np.ndarray]]     # final-cycle rooted failures
-    budget_history: List[BudgetTable] | None = None
+    budget_history: List[np.ndarray] | None = None   # (n, length) budgets per cycle
     rooted_by_cycle: List[np.ndarray] | None = None
-
-    def walks_from(self, root: int) -> np.ndarray:
-        return self.walks[self.walks[:, 0] == root]
 
 
 def _check_root(g: Graph, r: int) -> None:
@@ -555,14 +548,14 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
 
     budgets = initial_budgets(g, params)
     stats: List[CycleStats] = []
-    history: List[BudgetTable] = []
+    history: List[np.ndarray] = []
     rooted_history: List[np.ndarray] = []
     update_dests = np.flatnonzero(g.degrees > 0).astype(np.int64)
 
     for i in range(1, calib + 2):
         if keep_history:
             history.append(budgets)
-        budget_total = budgets.total()
+        budget_total = int(budgets.sum())
         try:
             res = stitch(g, budgets, params, cluster, seed, cycle=i)
         except StitchFailure as exc:
@@ -595,20 +588,8 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
     # prefix of the returned walks is an unbiased uniform subsample
     shuffle = substream(seed, SHUFFLE_STREAM, calib + 1)
     rooted_walks = rooted[shuffle.permutation(rooted.shape[0])]
-    report = cluster.report()
-    metrics = RunMetrics(
-        cycles=calib + 1,
-        supersteps=report["supersteps"],
-        paper_rounds=report["paper_rounds"],
-        per_cycle_budget_totals=[s.budget_total for s in stats],
-        total_budget=sum(s.budget_total for s in stats),
-        max_machine_words=report["max_machine_words"],
-        rooted_target=params.target,
-        rooted_ok=final.rooted_ok,
-        rooted_attempted_final=final.rooted_attempted,
-        failure_rate_final=final.failure_rate,
-        violations=report["violations"],
-    )
+    metrics = _run_metrics(cluster, [s.budget_total for s in stats], params.target,
+                           final.rooted_ok, final.rooted_attempted)
     return RunResult(walks=rooted_walks, roots=tuple(int(r) for r in roots_arr),
                      params=params, metrics=metrics, cycle_stats=stats,
                      failed_walks=failed_walks,
@@ -685,25 +666,14 @@ def run_multi_source(g: Graph, budgets: Dict[int, int], params: StitchParams,
         group_rounds.append(cluster.ledger.paper_rounds() - before_rounds)
         results.append(res)
         for r in members:
-            walks_by_root[r] = res.walks_from(r)
+            walks_by_root[r] = res.walks[res.walks[:, 0] == r]
     shortfall = {v: max(0, b - walks_by_root[v].shape[0]) for v, b in requested.items()}
-    report = cluster.report()
-    total_ok = sum(w.shape[0] for w in walks_by_root.values())
-    attempted = sum(r.metrics.rooted_attempted_final for r in results)
-    metrics = RunMetrics(
-        cycles=sum(r.metrics.cycles for r in results),
-        supersteps=max(group_supersteps),
-        paper_rounds=max(group_rounds),
-        per_cycle_budget_totals=[t for r in results
-                                 for t in r.metrics.per_cycle_budget_totals],
-        total_budget=sum(r.metrics.total_budget for r in results),
-        max_machine_words=report["max_machine_words"],
-        rooted_target=sum(requested.values()),
-        rooted_ok=total_ok,
-        rooted_attempted_final=attempted,
-        failure_rate_final=(1.0 - total_ok / attempted) if attempted else 0.0,
-        violations=report["violations"],
-    )
+    metrics = _run_metrics(
+        cluster, [t for r in results for t in r.metrics.per_cycle_budget_totals],
+        sum(requested.values()), sum(w.shape[0] for w in walks_by_root.values()),
+        sum(r.metrics.rooted_attempted_final for r in results))
+    metrics = replace(metrics, supersteps=max(group_supersteps),
+                      paper_rounds=max(group_rounds))
     return MultiSourceResult(walks_by_root=walks_by_root, requested=requested,
                              shortfall=shortfall, group_results=results,
                              metrics=metrics)
@@ -737,7 +707,7 @@ def uniform_stitching(g: Graph, b0_per_degree: float, length: int,
     mult = float(tau) ** (3.0 * (ks - 1.0))
     raw = (b0_per_degree * g.degrees.astype(float))[:, None] * mult[None, :]
     budgets = _budget_from_float(g, raw)
-    total = budgets.total()
+    total = int(budgets.sum())
     cluster = cluster or Cluster()
     run_seed = derive_key(seed, _ENGINE_NS, 0)
     res = stitch(g, budgets, params, cluster, run_seed, cycle=1)
@@ -746,15 +716,7 @@ def uniform_stitching(g: Graph, b0_per_degree: float, length: int,
     verts = res.verts  # every walk is returned: build them now, in the shuffled order
     ok_per_vertex = np.bincount(verts[:, 0], minlength=g.n)
     attempted = int(res.attempted_first.sum())
-    ok = int(ok_per_vertex.sum())
-    report = cluster.report()
-    metrics = RunMetrics(
-        cycles=1, supersteps=report["supersteps"], paper_rounds=report["paper_rounds"],
-        per_cycle_budget_totals=[total], total_budget=total,
-        max_machine_words=report["max_machine_words"],
-        rooted_target=attempted, rooted_ok=ok, rooted_attempted_final=attempted,
-        failure_rate_final=(1.0 - ok / attempted) if attempted else 0.0,
-        violations=report["violations"])
+    metrics = _run_metrics(cluster, [total], attempted, int(ok_per_vertex.sum()), attempted)
     return UniformResult(result=res, params=params, total_budget=total,
                          ok_per_vertex=ok_per_vertex, metrics=metrics)
 

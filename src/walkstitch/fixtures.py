@@ -1,4 +1,8 @@
-"""Deterministic graph builders used by tests, oracle checks, and the CLI."""
+"""Deterministic graph builders used by tests, oracle checks, and the CLI.
+
+Each takes its size (and `gnp` a seed) and returns a Graph on vertices
+0..n-1; a size too small for the shape raises ValueError.
+"""
 
 from __future__ import annotations
 
@@ -67,16 +71,3 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"G({n},{p}) draw produced no edges; raise p or reseed")
     return from_edge_array(n, np.vstack(rows))
 
-
-FIXTURES = {
-    "c4": lambda: cycle_graph(4),
-    "c6": lambda: cycle_graph(6),
-    "c8": lambda: cycle_graph(8),
-    "k2": lambda: path_graph(2),
-    "k3": lambda: complete_graph(3),
-    "p3": lambda: path_graph(3),
-    "p4": lambda: path_graph(4),
-    "star4": lambda: star_graph(4),
-    "cliques15": lambda: two_cliques(15),
-    "cliques17": lambda: two_cliques(17),
-}

@@ -14,14 +14,11 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .graph import Graph
-from .vectors import ScoreVector
 
 ORACLE_MAX_N = 10_000
 
 
 def _as_dense_start(g: Graph, start) -> np.ndarray:
-    if isinstance(start, ScoreVector):
-        return start.to_dense(g.n)
     if isinstance(start, (int, np.integer)):
         out = np.zeros(g.n)
         out[int(start)] = 1.0

@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from .engine import StitchParams, desk_params, round_length, run_budgeted
+from .engine import desk_params, round_length, run_budgeted
 from .graph import Graph
 from .mpc import Cluster
 from .vectors import ScoreVector
@@ -136,13 +136,12 @@ def sweep(g: Graph, q: ScoreVector) -> SweepResult:
     the minimum-conductance prefix. Prefix conductances are maintained
     incrementally in O(Vol(Supp(q))) edge touches; prefixes whose conductance
     is undefined (volume 0 or 2m) are skipped, never reported as 0 or inf."""
-    supp = np.array(q.support(), dtype=np.int64)
+    supp = q.support()
     if supp.size == 0:
         raise PPRError("sweep needs a score vector with non-empty support")
     if np.any(g.degrees[supp] == 0):
         raise PPRError("sweep support contains an isolated vertex")
-    scores = np.array([q[int(v)] for v in supp])
-    ratio = scores / g.degrees[supp]
+    ratio = q.dense[supp] / g.degrees[supp]
     order = supp[np.lexsort((supp, -ratio))]
 
     in_set = np.zeros(g.n, dtype=bool)
@@ -216,20 +215,9 @@ def conductance_bound(alpha: float, target_volume: float) -> float:
     return math.sqrt(135.0 * alpha * math.log(30.0 * math.sqrt(target_volume)))
 
 
-def _default_cluster_walk_params(T: int, M: int, laziness: str) -> StitchParams:
-    # 10% head-room over M so tolerated failures still leave M usable walks;
-    # base_budget sized so the stationary floor covers demand until visit
-    # counts reach the threshold (assumes seed degree ~10+; tune otherwise)
-    return desk_params(length=round_length(T), target=int(math.ceil(1.1 * M)),
-                       growth=4.0, threshold=10.0, base_budget=60.0, tau=1.15,
-                       laziness=laziness, fail_policy="tolerate", mode="practical")
-
-
 def local_cluster(g: Graph, seed_vertex: int, alpha: float, target_volume: int, *,
                   T: int = DESK_CLUSTER_T, M: int = DESK_CLUSTER_M,
-                  walk_params: StitchParams | None = None,
-                  cluster: Cluster | None = None, seed: int = 0,
-                  batch: WalkBatch | None = None) -> LocalClusterResult:
+                  cluster: Cluster | None = None, seed: int = 0) -> LocalClusterResult:
     """Seeded sweep-cut clustering around `seed_vertex`.
 
     target_volume stands in for the (unknown) volume of the community being
@@ -238,6 +226,8 @@ def local_cluster(g: Graph, seed_vertex: int, alpha: float, target_volume: int, 
     recomputed exactly. With alpha = 1 the score vector degenerates to the
     seed indicator and the result is flagged teleport_dominated.
     """
+    if not 0 <= seed_vertex < g.n:
+        raise PPRError(f"seed vertex {seed_vertex} out of range [0, {g.n})")
     if g.degrees[seed_vertex] == 0:
         raise PPRError(f"seed vertex {seed_vertex} is isolated")
     if target_volume < g.degrees[seed_vertex]:
@@ -245,18 +235,19 @@ def local_cluster(g: Graph, seed_vertex: int, alpha: float, target_volume: int, 
     eta = 1.0 / (10.0 * target_volume)
 
     if alpha >= 1.0:
-        q = ScoreVector.indicator(seed_vertex)
+        q = ScoreVector.indicator(seed_vertex, g.n)
         walks_ok = 0
     else:
-        params = PPRParams.desk(alpha=alpha, T=T, M=M)
-        if batch is None:
-            wp = walk_params or _default_cluster_walk_params(T, M, "half")
-            if not wp.lazy:
-                raise PPRError("local clustering requires lazy walk parameters")
-            run = run_budgeted(g, seed_vertex, wp, cluster=cluster, seed=seed)
-            batch = WalkBatch(run.walks, lazy=True)
-        q = approx_ppr(g, seed_vertex, params, batch)
-        walks_ok = batch.count
+        # 10% head-room over M so tolerated failures still leave M usable walks;
+        # base_budget sized so the stationary floor covers demand until visit
+        # counts reach the threshold (assumes seed degree ~10+; tune otherwise)
+        wp = desk_params(length=round_length(T), target=int(math.ceil(1.1 * M)),
+                         growth=4.0, threshold=10.0, base_budget=60.0, tau=1.15,
+                         laziness="half", fail_policy="tolerate", mode="practical")
+        run = run_budgeted(g, seed_vertex, wp, cluster=cluster, seed=seed)
+        q = approx_ppr(g, seed_vertex, PPRParams.desk(alpha=alpha, T=T, M=M),
+                       WalkBatch(run.walks, lazy=True))
+        walks_ok = run.walks.shape[0]
 
     sw = sweep(g, q)
     teleport = alpha >= 1.0 or len(q) == 1

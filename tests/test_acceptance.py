@@ -98,7 +98,7 @@ def test_criterion_3_budget_laws():
         expo = stats.exponent_used
         lam_pow = growth_power(p.growth, expo)
         table = run.budget_history[ci + 1]
-        assert table.values[root, 0] == math.ceil(b0[root] + lam_pow), \
+        assert table[root, 0] == math.ceil(b0[root] + lam_pow), \
             f"root budget law violated at cycle {ci + 1}"
         walks = run.rooted_by_cycle[ci]
         for k in range(1, p.length + 1):
@@ -109,7 +109,7 @@ def test_criterion_3_budget_laws():
                 if kappa[v] >= p.threshold:
                     lo = ideal * p.surplus ** (3 * k - 4)
                     hi = ideal * p.surplus ** (3 * k - 2)
-                    got = table.values[v, k - 1]
+                    got = table[v, k - 1]
                     assert lo <= got <= hi, \
                         f"envelope miss at v={v} k={k} cycle={ci + 1}: " \
                         f"{got} not in [{lo:.1f}, {hi:.1f}]"

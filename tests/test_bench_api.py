@@ -17,6 +17,7 @@ sys.path.insert(0, str(BENCH))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 from walkstitch import engine, graph, mpc, oracle, ppr  # noqa: E402
+from walkstitch.vectors import ScoreVector  # noqa: E402
 
 
 def test_traced_layers_exist():
@@ -36,3 +37,25 @@ def test_workload_runs_tiny(name):
     assert not failed
     assert len(workloads.walks_sha256(out)) == 64
     assert workloads.counters(g, out)["engine.walks_ok"] > 0
+
+
+def test_corrupted_scores_fail_ppr_checks():
+    # bench/selftest.py edits the array that to_dense returns and rebuilds the
+    # scores with from_dense; both must copy, and the checks must notice
+    wl = workloads.WORKLOADS["ppr-cliques"]
+    p = workloads.SIZES["ppr-cliques"]["tiny"]
+    g = graph.load_edge_list(wl.make_input(3, p))
+    plan = wl.plan(g, p)
+    out = wl.run(g, plan, 3, p)
+    good = out.scores
+    dense = good.to_dense(g.n)
+    before = dense.copy()
+    dense[plan["root"]] += 0.05
+    out.scores = ScoreVector.from_dense(dense)
+    dense[plan["root"]] += 0.05
+    assert (good.to_dense(g.n) == before).all()
+    assert out.scores.mass() == pytest.approx(good.mass() + 0.05, abs=1e-12)
+    failed = {check for check, passed, _ in wl.check(g, plan, out, p) if not passed}
+    assert {"ppr error", "ppr mass"} <= failed
+    out.scores = good
+    assert not {check for check, passed, _ in wl.check(g, plan, out, p) if not passed}

@@ -112,7 +112,9 @@ class TestWalks:
                      "--dump-budgets", dump)
         assert rc == 0
         assert len(runs) == 1
-        expected = list(runs[0].budget_history[-1].csv_lines())
+        budgets = runs[0].budget_history[-1]
+        expected = ["vertex,label,budget"] + [
+            f"{v},{k + 1},{budgets[v, k]}" for v, k in zip(*np.nonzero(budgets))]
         assert dump.read_text().splitlines() == expected
         assert len(expected) > 1
 
@@ -166,6 +168,40 @@ class TestWalks:
                      "--length", 4, "--seed", 3)
         assert rc == 2
         assert f"error: {budgets}:2:" in capsys.readouterr().err
+
+
+class TestCsvBytes:
+    def test_budget_and_score_files(self, tmp_path):
+        # one edge, base budget 3 per unit degree, no surplus, one cycle:
+        # every (vertex, label) entry is 3
+        edges = tmp_path / "k2.txt"
+        edges.write_text("0 1\n")
+        dump, scores = tmp_path / "b.csv", tmp_path / "q.csv"
+        assert run_cli("walks", "--graph", edges, "--root", 0, "--length", 2,
+                       "--target", 1, "--b0", 3, "--tau", 1, "--seed", 1,
+                       "--dump-budgets", dump, "--report", tmp_path / "w.json") == 0
+        assert dump.read_bytes() == b"vertex,label,budget\n0,1,3\n0,2,3\n1,1,3\n1,2,3\n"
+        assert run_cli("ppr", "--graph", edges, "--root", 1, "--alpha", 1.0,
+                       "--seed", 1, "--out", scores, "--report", tmp_path / "q.json") == 0
+        assert scores.read_bytes() == b"vertex,score\n1,1.0\n"
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.2])
+@pytest.mark.parametrize("vertex", [-1, 8])
+@pytest.mark.parametrize("command", ["ppr", "cluster"])
+def test_vertex_out_of_range_exit_2(command, vertex, alpha, tmp_path, capsys):
+    cache = tmp_path / "g.lwg"
+    save_cache(two_cliques(4), str(cache))   # n = 8
+    out = tmp_path / "out.txt"
+    if command == "ppr":
+        args = ["--root", vertex, "--target", 100, "--laziness", "half", "--verify"]
+    else:
+        args = ["--seed-vertex", vertex, "--target-volume", 13]
+    rc = run_cli(command, "--graph", cache, *args, "--alpha", alpha, "--T", 4,
+                 "--M", 50, "--seed", 1, "--out", out, "--report", tmp_path / "r.json")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 class TestPPRCommand:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from walkstitch import engine, oracle
-from walkstitch.engine import (BudgetTable, ParameterError, StitchFailure,
+from walkstitch.engine import (ParameterError, StitchFailure,
                                StitchParams, cycle_plan, desk_params,
                                dyadic_decompose, growth_power, init_walks,
                                initial_budgets, label_multipliers, round_length,
@@ -84,8 +84,8 @@ class TestBudgets:
         g = load_edge_list("0 1\n2 2")  # vertex 2 isolated after loop drop
         p = desk_params(length=2, target=10, base_budget=1.5, tau=1.0)
         b = initial_budgets(g, p)
-        assert b.values[0, 0] == math.ceil(1.5)
-        assert b.values[2].sum() == 0
+        assert b[0, 0] == math.ceil(1.5)
+        assert b[2].sum() == 0
 
     def test_update_root_law(self):
         g = cycle_graph(8)
@@ -96,7 +96,7 @@ class TestBudgets:
         for stats, table in zip(walks.cycle_stats[:-1], walks.budget_history[1:],
                                 strict=False):
             lam_pow = growth_power(p.growth, stats.exponent_used)
-            assert table.values[0, 0] == math.ceil(b0_root + lam_pow)
+            assert table[0, 0] == math.ceil(b0_root + lam_pow)
 
     def test_update_arithmetic_example(self):
         # threshold 10, kappa 20, |W| 100, growth^i 1000, base 5: ceil(5+200)=205
@@ -109,7 +109,7 @@ class TestBudgets:
         walks[:, 1] = 3
         walks[:, 2] = 4
         table = update_budgets(walks, 3, p, g)
-        assert table.values[2, 0] == 205
+        assert table[2, 0] == 205
 
     def test_update_else_branch(self):
         g = cycle_graph(6)
@@ -123,7 +123,7 @@ class TestBudgets:
         mult = label_multipliers(p)
         for v in (2, 3, 4):
             for k in (1, 2):
-                assert table.values[v, k - 1] == math.ceil(7.3 * 2 * mult[k - 1])
+                assert table[v, k - 1] == math.ceil(7.3 * 2 * mult[k - 1])
 
     def test_update_rejects_empty_or_short(self):
         g = cycle_graph(4)
@@ -132,13 +132,6 @@ class TestBudgets:
             update_budgets(np.zeros((0, 5), dtype=np.int64), 1, p, g)
         with pytest.raises(Exception):
             update_budgets(np.zeros((3, 3), dtype=np.int64), 1, p, g)
-
-    def test_budget_csv(self):
-        g = path_graph(2)
-        p = desk_params(length=2, target=10, base_budget=3.0, tau=1.0)
-        lines = list(initial_budgets(g, p).csv_lines())
-        assert lines[0] == "vertex,label,budget"
-        assert "0,1,3" in lines
 
 
 class TestCyclePlan:
@@ -160,7 +153,7 @@ class TestInitWalks:
     def test_k2_forced_neighbor(self):
         g = path_graph(2)
         p = desk_params(length=2, target=10, tau=1.0)
-        b = BudgetTable(np.array([[5, 0], [0, 0]], dtype=np.int64))
+        b = np.array([[5, 0], [0, 0]], dtype=np.int64)
         start, end, labels = init_walks(g, b, p, master_seed=1)
         assert (start.dtype, end.dtype, labels.dtype) == (np.int32, np.int32, np.int16)
         assert start.shape == end.shape == labels.shape == (5,)
@@ -170,7 +163,7 @@ class TestInitWalks:
     def test_neighbor_split_concentrates(self):
         g = path_graph(3)
         p = desk_params(length=1, target=10, tau=1.0)
-        b = BudgetTable(np.array([[0], [10_000], [0]], dtype=np.int64))
+        b = np.array([[0], [10_000], [0]], dtype=np.int64)
         _, end, _ = init_walks(g, b, p, master_seed=3)
         counts = np.bincount(end, minlength=3)
         assert 4600 <= counts[0] <= 5400
@@ -179,7 +172,7 @@ class TestInitWalks:
     def test_lazy_self_steps_concentrate(self):
         g = path_graph(3)
         p = desk_params(length=1, target=10, tau=1.0, laziness="half")
-        b = BudgetTable(np.array([[0], [10_000], [0]], dtype=np.int64))
+        b = np.array([[0], [10_000], [0]], dtype=np.int64)
         _, end, _ = init_walks(g, b, p, master_seed=3)
         stays = int((end == 1).sum())
         assert 4600 <= stays <= 5400
@@ -188,7 +181,7 @@ class TestInitWalks:
         from walkstitch.graph import load_edge_list
         g = load_edge_list("0 1\n2 2")
         p = desk_params(length=1, target=10, tau=1.0)
-        b = BudgetTable(np.array([[1], [1], [1]], dtype=np.int64))
+        b = np.array([[1], [1], [1]], dtype=np.int64)
         with pytest.raises(Exception, match="isolated"):
             init_walks(g, b, p, master_seed=0)
 
@@ -199,7 +192,7 @@ class TestStitch:
         p = StitchParams(length=2, target=1, growth=2.0, threshold=1.0,
                          base_budget=1.0, surplus=1.5, mode="theory",
                          fail_policy="abort")
-        b = BudgetTable(np.array([[1, 0], [0, 1]], dtype=np.int64))
+        b = np.array([[1, 0], [0, 1]], dtype=np.int64)
         res = stitch(g, b, p, Cluster(), master_seed=5)
         assert res.verts.tolist() == [[0, 1, 0]]
 
@@ -211,7 +204,7 @@ class TestStitch:
         vals = np.zeros((4, 2), dtype=np.int64)
         vals[0, 0] = 1
         with pytest.raises(StitchFailure) as exc:
-            stitch(g, BudgetTable(vals), p, Cluster(), master_seed=5)
+            stitch(g, vals, p, Cluster(), master_seed=5)
         assert exc.value.phase == 1
         assert exc.value.label == 2
         assert exc.value.deficit == 1
@@ -223,7 +216,7 @@ class TestStitch:
                          base_budget=1.0, surplus=1.5, mode="theory",
                          fail_policy="tolerate")
         vals = np.full((3, 2), 50, dtype=np.int64)
-        res = stitch(g, BudgetTable(vals), p, Cluster(), master_seed=11)
+        res = stitch(g, vals, p, Cluster(), master_seed=11)
         assert res.verts.shape[1] == 3
         assert validate_walks(g, res.verts, lazy=False)
         served = sum(req.size for req, _ in res.levels)
@@ -234,7 +227,7 @@ class TestStitch:
         p = desk_params(length=8, target=1, tau=1.0)
         vals = np.full((3, 8), 20, dtype=np.int64)
         cluster = Cluster()
-        stitch(g, BudgetTable(vals), p, cluster, master_seed=2)
+        stitch(g, vals, p, cluster, master_seed=2)
         kinds = [r.kind for r in cluster.ledger.rounds]
         assert kinds == ["stitch-request", "stitch-reply"] * 3  # log2(8) phases
 
@@ -247,7 +240,7 @@ class TestStitch:
         vals = np.zeros((5, 2), dtype=np.int64)
         vals[1:, 0] = 2500
         vals[0, 1] = 5000
-        res = stitch(g, BudgetTable(vals), p, Cluster(), master_seed=6)
+        res = stitch(g, vals, p, Cluster(), master_seed=6)
         share = np.bincount(res.starts, minlength=5)[1:] / 2500
         assert sum(req.size for req, _ in res.levels) == 5000
         assert np.all(np.abs(share - 0.5) <= 0.04)
@@ -348,7 +341,7 @@ class TestRunBudgeted:
         p = desk_params(length=4, target=100, growth=10.0, threshold=10.0,
                         base_budget=30.0)
         run = run_budgeted(g, 0, p, seed=9, keep_history=True)
-        recount = [t.total() for t in run.budget_history]
+        recount = [int(t.sum()) for t in run.budget_history]
         assert run.metrics.per_cycle_budget_totals == recount
         assert run.metrics.total_budget == sum(recount)
 
