@@ -265,6 +265,9 @@ def cmd_walks(args) -> int:
     params = make_stitch_params(args, g)
     t0 = time.perf_counter()
     if args.budgets:
+        for flag, value in (("--dump-budgets", args.dump_budgets), ("--csv", args.csv)):
+            if value:
+                raise UsageError(f"{flag} does not apply to a --budgets (multi-source) run")
         budgets = read_budget_file(args.budgets)
         multi = run_multi_source(g, budgets, params, cluster=cluster, seed=args.seed)
         wall = time.perf_counter() - t0

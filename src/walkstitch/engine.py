@@ -19,10 +19,15 @@ Two operating modes:
   is the 2-adic valuation. This caps the surplus blow-up at tau^(log2 L)
   while keeping one factor of tau of serving headroom in every phase.
 
+Every level of segments is kept in (start vertex, first label) order, so the
+stock of each serving key lies contiguous, in an order that does not depend
+on where its segments go, and is served as it lies.
+
 Randomness comes from one substream per purpose and step, keyed by the run
 seed: one per cycle draws every length-1 segment, one per (cycle, phase)
-orders the stock of every serving key, and one shuffles the returned walks.
-A run is therefore replayable from its seed.
+picks which requests are served in a phase where some key's stock runs
+short (and is not drawn in any other phase), and one shuffles the returned
+walks. A run is therefore replayable from its seed.
 """
 
 from __future__ import annotations
@@ -274,7 +279,7 @@ class StitchResult:
     leaf_start and leaf_end. Phase j joins pairs of level j-1 segments into
     level j segments; levels[j-1] holds the two child-index arrays of that
     phase: the requester ids (left halves) and the server ids (right halves)
-    of every served request, in serving order. The finished walks are the
+    of every served request, in requester order. The finished walks are the
     segments of the last level, row i starting at starts[i]. Walks are built
     only for the rows asked for (`walks`); `verts` builds all of them on first
     access.
@@ -329,22 +334,23 @@ class StitchResult:
         self.__dict__.pop("verts", None)
 
 
-def _group_by_key(idx: np.ndarray, key: np.ndarray, n_keys: int,
+def _group_by_key(key: np.ndarray, n_keys: int,
                   gen: np.random.Generator | None) -> np.ndarray:
-    """idx sorted by key, stably; with gen, in a uniform order inside each key.
+    """Positions of key, stably grouped by key; with gen, in a uniform order
+    inside each key.
 
     Keys below n_keys are sorted a 16-bit digit at a time, lowest first:
     numpy's stable argsort of a 16-bit type is a radix sort, much faster
-    than a comparison sort of shuffled 64-bit keys.
+    than a comparison sort of 64-bit keys.
     """
     if n_keys <= 1 << 16:
         key = key.astype(np.uint16)
-    order = None if gen is None else gen.permutation(idx.size)
+    order = None if gen is None else gen.permutation(key.size)
     for shift in range(0, max(1, (n_keys - 1).bit_length()), 16):
         digit = (key if order is None else key[order]) >> shift
         step = np.argsort(digit.astype(np.uint16, copy=False), kind="stable")
         order = step if order is None else order[step]
-    return idx[order]
+    return order
 
 
 def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster,
@@ -354,16 +360,20 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
 
     A segment is carried as its start vertex, end vertex and first label
     only. In each phase every requester asks the vertex at its end for a
-    segment. Requests and stock are grouped by serving key: the vertex in
-    practical mode, (vertex, needed label) in theory mode. The phase's
-    substream puts each key's stock in a uniform order, and the request of
-    rank r in a key gets the stock segment of rank r, so every request gets a
-    distinct uniform segment; each served pair becomes one segment of the
-    next level, recorded as a pair of child indices. When a key's stock is
-    short, fail_policy decides between aborting the run (on the smallest
-    short key) and serving a uniform subset of its requests, shuffled by the
-    same substream; the unserved walks are dropped, and logged if they
-    carry label 1.
+    segment, grouped by serving key: the vertex in practical mode, (vertex,
+    needed label) in theory mode. Every level is kept in (start, label)
+    order: init_walks emits level 0 that way, and each phase writes its new
+    segments in requester order, so a new segment takes its requester's
+    start and label. A key's stock is therefore one contiguous run of
+    segments whose order depends only on their starts, labels and the order
+    of their requesters, never on where they lead; the request of rank r in
+    a key takes the key's stock segment of rank r, a distinct segment drawn
+    as a fresh walk from the key. Each served pair becomes one segment of
+    the next level, recorded as a pair of child indices. When a key's stock
+    is short, fail_policy decides between aborting the run (on the smallest
+    short key) and serving a uniform subset of its requests: only then does
+    the phase draw its substream, to shuffle the requests inside each key.
+    The unserved walks are dropped, and logged if they carry label 1.
 
     Each phase costs two supersteps (requests, then replies). Message words:
     a request is 3 words; a reply for a length-s segment is s+4 words (s+1
@@ -386,7 +396,7 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
     for phase in range(1, phases + 1):
         s = 1 << (phase - 1)
         two_s = 2 * s
-        lab_mod = labels % two_s
+        lab_mod = labels & (two_s - 1)
         req_idx = np.flatnonzero(lab_mod == 1)
         srv_idx = np.flatnonzero(lab_mod == (s + 1) % two_s)
         # temporaries are dropped as soon as they are used: with full rows
@@ -404,41 +414,48 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
         del dest
         rcount = np.bincount(req_key, minlength=n_keys)
         scount = np.bincount(srv_key, minlength=n_keys)
+        del srv_key
         short = np.flatnonzero(rcount > scount)
         if short.size and params.fail_policy == "abort":
             key = int(short[0])
             z, needed = divmod(key, key_span) if theory else (key, None)
             raise StitchFailure(z, needed, phase, int(rcount[key] - scount[key]), cycle)
 
-        # servers in a uniform order inside each key; requests in key order,
-        # shuffled inside each key only when a short key leaves some unserved
-        gen = substream(master_seed, SERVE_STREAM, cycle, phase)
-        srv_sorted = _group_by_key(srv_idx, srv_key, n_keys, gen)
-        req_sorted = _group_by_key(req_idx, req_key, n_keys, gen if short.size else None)
-        del srv_idx, srv_key, req_idx, req_key
+        # the level's (start, label) order leaves srv_idx grouped by key as
+        # it is; requests are grouped by key, and shuffled inside each key
+        # only when a short key leaves some of them unserved
+        gen = substream(master_seed, SERVE_STREAM, cycle, phase) if short.size else None
+        order = _group_by_key(req_key, n_keys, gen)
+        del req_key
 
-        # the request of rank r in key k gets server sfirst[k] + r, if r < scount[k]
+        # the request of rank r in key k gets server sfirst[k] + r, if r < scount[k];
+        # srv_of holds each request's server in requester order, -1 if unserved
         rfirst = np.cumsum(rcount) - rcount
         sfirst = np.cumsum(scount) - scount
-        rank = np.arange(req_sorted.size) - np.repeat(rfirst, rcount)
-        srv_pos = rank + np.repeat(sfirst, rcount)
+        srv_pos = np.arange(order.size) + np.repeat(sfirst - rfirst, rcount)
         if short.size:
-            ok = rank < np.repeat(scount, rcount)
-            failed_req = req_sorted[~ok]
-            served_req, srv_pos = req_sorted[ok], srv_pos[ok]
+            ok = srv_pos < np.repeat(sfirst + scount, rcount)
+            srv_of = np.full(req_idx.size, -1, dtype=np.int32)
+            srv_of[order[ok]] = srv_idx[srv_pos[ok]]
+            served = srv_of >= 0
+            failed_req = req_idx[~served]
             first_label = failed_req[labels[failed_req] == 1]
             if first_label.size:
                 failed.append((phase, first_label.astype(np.int32), start[first_label]))
+            served_req, served_srv = req_idx[served], srv_of[served]
         else:
-            served_req = req_sorted
-        served_srv = srv_sorted[srv_pos]
-        del rank, srv_pos, req_sorted, srv_sorted
+            srv_of = np.empty(req_idx.size, dtype=np.int32)
+            srv_of[order] = srv_idx[srv_pos]
+            served_req, served_srv = req_idx, srv_of
+        del order, srv_pos, srv_idx, req_idx
 
         assert np.array_equal(end[served_req], start[served_srv])
+        if theory:
+            assert np.array_equal(labels[served_req] + s, labels[served_srv])
         start, end = start[served_req], end[served_srv]
         cluster.exchange_bulk(start, words=s + 4, kind=KIND_REPLY)
         labels = labels[served_req]
-        levels.append((served_req.astype(np.int32), served_srv.astype(np.int32)))
+        levels.append((served_req.astype(np.int32), served_srv))
 
     assert np.all(labels == 1)
     return StitchResult(leaf_start=leaf_start, leaf_end=leaf_end, levels=levels,
@@ -584,8 +601,8 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
                                 exponent_used=expo))
 
     final = stats[-1]
-    # row order reflects serving keys (walk midpoints); shuffle so that any
-    # prefix of the returned walks is an unbiased uniform subsample
+    # rows are grouped by root; shuffle so that any prefix of the returned
+    # walks is an unbiased uniform subsample
     shuffle = substream(seed, SHUFFLE_STREAM, calib + 1)
     rooted_walks = rooted[shuffle.permutation(rooted.shape[0])]
     metrics = _run_metrics(cluster, [s.budget_total for s in stats], params.target,

@@ -226,6 +226,7 @@ def local_cluster(g: Graph, seed_vertex: int, alpha: float, target_volume: int, 
     recomputed exactly. With alpha = 1 the score vector degenerates to the
     seed indicator and the result is flagged teleport_dominated.
     """
+    pparams = PPRParams.desk(alpha=alpha, T=T, M=M)
     if not 0 <= seed_vertex < g.n:
         raise PPRError(f"seed vertex {seed_vertex} out of range [0, {g.n})")
     if g.degrees[seed_vertex] == 0:
@@ -245,8 +246,7 @@ def local_cluster(g: Graph, seed_vertex: int, alpha: float, target_volume: int, 
                          growth=4.0, threshold=10.0, base_budget=60.0, tau=1.15,
                          laziness="half", fail_policy="tolerate", mode="practical")
         run = run_budgeted(g, seed_vertex, wp, cluster=cluster, seed=seed)
-        q = approx_ppr(g, seed_vertex, PPRParams.desk(alpha=alpha, T=T, M=M),
-                       WalkBatch(run.walks, lazy=True))
+        q = approx_ppr(g, seed_vertex, pparams, WalkBatch(run.walks, lazy=True))
         walks_ok = run.walks.shape[0]
 
     sw = sweep(g, q)

@@ -161,6 +161,19 @@ class TestWalks:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(missing) in err
 
+    @pytest.mark.parametrize("flag", ["--dump-budgets", "--csv"])
+    def test_multi_source_rejects_single_root_outputs(self, flag, cliques_cache, tmp_path,
+                                                      capsys):
+        budgets = tmp_path / "b.txt"
+        budgets.write_text("1 20\n")
+        out = tmp_path / "out.csv"
+        rc = run_cli("walks", "--graph", cliques_cache, "--budgets", budgets, "--length", 4,
+                     flag, out, "--seed", 1, "--report", tmp_path / "r.json")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_integer_budget_exit_2(self, cliques_cache, tmp_path, capsys):
         budgets = tmp_path / "b.txt"
         budgets.write_text("1 50\n16 fifty\n")
@@ -201,6 +214,20 @@ def test_vertex_out_of_range_exit_2(command, vertex, alpha, tmp_path, capsys):
                  "--M", 50, "--seed", 1, "--out", out, "--report", tmp_path / "r.json")
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params", [["--alpha", 1.5], ["--alpha", 1.0, "--T", 0, "--M", 0]],
+                         ids=["alpha-above-one", "alpha-one-T-M-zero"])
+def test_cluster_bad_ppr_params_exit_2(params, tmp_path, capsys):
+    cache = tmp_path / "g.lwg"
+    save_cache(two_cliques(4), str(cache))
+    out = tmp_path / "cut.txt"
+    rc = run_cli("cluster", "--graph", cache, "--seed-vertex", 1, "--target-volume", 13,
+                 *params, "--seed", 1, "--out", out, "--report", tmp_path / "r.json")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -254,12 +254,11 @@ class TestGroupByKey:
         rng = np.random.default_rng(n_keys)
         key = rng.integers(0, n_keys, size=5000)
         key[0] = n_keys - 1  # the largest key needs every digit
-        idx = 3 * np.arange(5000)
-        got = engine._group_by_key(idx, key, n_keys, None)
-        assert np.array_equal(got, idx[np.argsort(key, kind="stable")])
-        got = engine._group_by_key(idx, key, n_keys, np.random.default_rng(1))
+        got = engine._group_by_key(key, n_keys, None)
+        assert np.array_equal(got, np.argsort(key, kind="stable"))
+        got = engine._group_by_key(key, n_keys, np.random.default_rng(1))
         perm = np.random.default_rng(1).permutation(5000)
-        assert np.array_equal(got, idx[perm][np.argsort(key[perm], kind="stable")])
+        assert np.array_equal(got, perm[np.argsort(key[perm], kind="stable")])
 
 
 def all_leaf_ids(res) -> np.ndarray:
@@ -296,6 +295,42 @@ class TestSegmentDisjointness:
         leaves = all_leaf_ids(res)
         assert np.unique(leaves).size == leaves.size
         assert_leaves_join(res)
+
+
+def first_leaves(res, level: int) -> np.ndarray:
+    """Leaf id of the first step of every segment of `level`."""
+    size = res.levels[level - 1][0].size if level else res.leaf_start.size
+    return res.leaf_ids(np.arange(size), level)[:, 0]
+
+
+class TestLevelOrder:
+    """Every level of the index tree lies in (start, first label) order,
+    which is what lets each key's stock be served as it lies."""
+
+    @pytest.mark.parametrize("laziness", ["none", "half"])
+    @pytest.mark.parametrize("mode, tau, fail_policy, short", [
+        ("practical", 1.0, "tolerate", True),
+        ("practical", 3.0, "abort", False),
+        ("theory", 1.01, "tolerate", True),
+        ("theory", 1.3, "abort", False),
+    ], ids=["practical-short", "practical-ample", "theory-short", "theory-ample"])
+    def test_levels_sorted_and_labels_join(self, mode, tau, fail_policy, short, laziness):
+        g = cycle_graph(8)
+        p = desk_params(length=8, target=1, base_budget=20.0, tau=tau,
+                        laziness=laziness, fail_policy=fail_policy, mode=mode)
+        budgets = initial_budgets(g, p)
+        res = stitch(g, budgets, p, Cluster(), master_seed=11, cycle=2)
+        assert bool(res.failed) == short
+        _, _, labels = init_walks(g, budgets, p, master_seed=11, cycle=2)
+        for level in range(len(res.levels) + 1):
+            first = first_leaves(res, level)
+            key = res.leaf_start[first].astype(np.int64) * (p.length + 1) + labels[first]
+            assert np.all(np.diff(key) >= 0)
+        if mode == "theory":
+            for phase, (left, right) in enumerate(res.levels, start=1):
+                below = first_leaves(res, phase - 1)
+                assert np.array_equal(labels[below[left]] + (1 << (phase - 1)),
+                                      labels[below[right]])
 
 
 class TestRunBudgeted:
@@ -355,9 +390,9 @@ class TestRunBudgeted:
         assert r1.metrics.to_dict() == r2.metrics.to_dict()
         assert not np.array_equal(r1.walks, run_budgeted(g, 2, p, seed=34).walks)
 
-    def test_one_substream_per_cycle_and_phase(self, monkeypatch):
-        # init draws from one generator per cycle and serving from one per
-        # (cycle, phase), plus the final shuffle: never one per vertex or key
+    @pytest.fixture
+    def substream_calls(self, monkeypatch):
+        """The key of every substream the engine draws, in order."""
         calls = []
 
         def counting_substream(*args):
@@ -365,12 +400,27 @@ class TestRunBudgeted:
             return substream(*args)
 
         monkeypatch.setattr(engine, "substream", counting_substream)
+        return calls
+
+    def test_one_substream_per_cycle_and_phase(self, substream_calls):
+        # init draws from one generator per cycle and, with a short key in
+        # every phase, serving from one per (cycle, phase), plus the final
+        # shuffle: never one per vertex or key
         p = desk_params(length=8, target=300, growth=10.0, threshold=10.0,
                         base_budget=30.0, tau=1.0)
         run = run_budgeted(cycle_graph(8), 0, p, seed=5)
         assert run.failed_walks  # short keys: requests are shuffled too
         phases = 3
-        assert len(calls) == run.metrics.cycles * (1 + phases) + 1
+        assert len(substream_calls) == run.metrics.cycles * (1 + phases) + 1
+
+    def test_no_serve_substream_without_short_keys(self, substream_calls):
+        # with stock to spare in every phase, serving draws no randomness:
+        # one init generator per cycle plus the final shuffle
+        p = desk_params(length=8, target=300, growth=10.0, threshold=10.0,
+                        base_budget=30.0, tau=4.0, fail_policy="abort")
+        run = run_budgeted(cycle_graph(8), 0, p, seed=5)
+        assert run.metrics.cycles == 3
+        assert len(substream_calls) == run.metrics.cycles + 1
 
     def test_isolated_root_rejected(self):
         from walkstitch.graph import load_edge_list

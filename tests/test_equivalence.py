@@ -4,8 +4,10 @@ Each test hashes the walks and the failed label-1 prefixes that one engine
 call returns. A change that keeps the random streams (every substream key,
 every requester and server order) must keep these hashes byte for byte, so a
 refactor of stitching, walk assembly or message accounting is shown to
-return exactly the same walks. The values were recorded when init and
-serving moved to one substream per cycle and per (cycle, phase).
+return exactly the same walks. The values were recorded when serving
+stopped shuffling the stock: every level is kept in (start, label) order,
+each key's stock is served as it lies, and a phase draws its serve
+substream only when some key's stock runs short.
 
 Only a change that alters the RNG streams on purpose may update the pinned
 values, and it must say so in CHANGES.md.
@@ -37,7 +39,7 @@ def test_lazy_practical_run_budgeted():
     run = run_budgeted(two_cliques(6), 1, p, seed=21)
     assert run.failed_walks  # failures on all three phases
     assert digest(run.walks, run.failed_walks) == (
-        "c780c0ede54bf34a1d0489941c1162589ed648438ef8edccfd064ecbd7152bcc")
+        "7112f822a96fb34f02a4af3d23f37b2c27e9de0950d21c18037152430003f863")
 
 
 def test_theory_abort_run_budgeted():
@@ -45,11 +47,11 @@ def test_theory_abort_run_budgeted():
                      base_budget=30.0, surplus=1.3, mode="theory", fail_policy="abort")
     run = run_budgeted(cycle_graph(8), 0, p, seed=3)
     assert digest(run.walks, run.failed_walks) == (
-        "45822156f2936179aaa2b3d42b2e95edd3d088660386d12f843baf36546355d8")
+        "af2ef1b0c479fa27f4c3212a43e601726d41b16dbfee2f284bbe95b596255936")
 
 
 def test_uniform_stitching_with_failures():
     res = uniform_stitching(gnp(40, 0.2, seed=2), 3, 8, seed=4, tau=1.0)
     assert res.result.failed_chunks
     assert digest(res.result.verts, res.result.failed_chunks) == (
-        "b0b5281ede72e34268e0a9d2ff31705e558ef88f358eb7c687c5966350e084ba")
+        "26c0605ce9ff55f928a5e56459d327ff5c3fc1bc7f0bfd2d4cfb67ec12c2a7b7")
