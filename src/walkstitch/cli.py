@@ -9,7 +9,8 @@ the subcommand, so it is checked like one, an unknown key exits 2, and typed
 flags win. store_true flags are written `strict=true`.
 
 Exit codes: 0 success; 1 algorithmic failure (abort-mode stitch failure,
-fewer usable walks than --M, a failing oracle check); 2 usage or parse error
+fewer usable walks than --M, a failing oracle check, budgets whose segments
+do not fit in memory or in int32 indices); 2 usage or parse error
 (bad flag or config line; --root or --seed-vertex outside the graph;
 malformed, non-UTF-8 or missing input file; corrupt graph cache); 3 capacity
 violation in strict mode.
@@ -554,7 +555,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(splice_config(argv))
         return args.func(args)
-    except (EngineError, WalkShortfall) as exc:
+    except (EngineError, WalkShortfall, MemoryError) as exc:
         print(f"fail: {exc}", file=sys.stderr)
         return EXIT_ALGO
     except (UsageError, GraphError, ParameterError, PPRError, ClusterConfigError,

@@ -41,7 +41,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .graph import Graph
-from .mpc import Cluster, KIND_REPLY, KIND_REQUEST, KIND_UPDATE
+from .mpc import Cluster, KIND_REPLY, KIND_REQUEST, KIND_UPDATE, RoundLedger
 from .rng import INIT_STREAM, SERVE_STREAM, SHUFFLE_STREAM, derive_key, substream
 
 _ENGINE_NS = 0x10  # namespace tag folded into every engine substream key
@@ -117,13 +117,14 @@ class StitchParams:
             raise ParameterError(f"length {self.length} is not a power of two")
         if self.target < 1:
             raise ParameterError("target must be >= 1")
-        if self.growth <= 1:
-            raise ParameterError("growth factor must be > 1")
-        if self.threshold <= 0 or self.base_budget <= 0:
-            raise ParameterError("threshold and base_budget must be positive")
+        # chained comparisons also reject NaN and infinities
+        if not 1 < self.growth < math.inf:
+            raise ParameterError("growth factor must be finite and > 1")
+        if not (0 < self.threshold < math.inf and 0 < self.base_budget < math.inf):
+            raise ParameterError("threshold and base_budget must be finite and positive")
         min_surplus = 1.0 if self.mode == "practical" else 1.0 + 1e-12
-        if self.surplus < min_surplus:
-            raise ParameterError("surplus must be > 1 (>= 1 in practical mode)")
+        if not min_surplus <= self.surplus < math.inf:
+            raise ParameterError("surplus must be finite and > 1 (>= 1 in practical mode)")
         if self.laziness not in LAZINESS:
             raise ParameterError(f"laziness must be one of {LAZINESS}")
         if self.mode not in MODES:
@@ -152,12 +153,12 @@ def theory_params(n: int, length: int, growth: float, confidence: float = 1.0, *
     """
     if n < 2:
         raise ParameterError("n must be >= 2")
-    if growth <= 1:
-        raise ParameterError("growth factor must be > 1")
-    if confidence < 1:
-        raise ParameterError("confidence must be >= 1")
-    if scale <= 0:
-        raise ParameterError("scale must be positive")
+    if not 1 < growth < math.inf:
+        raise ParameterError("growth factor must be finite and > 1")
+    if not 1 <= confidence < math.inf:
+        raise ParameterError("confidence must be finite and >= 1")
+    if not 0 < scale < math.inf:
+        raise ParameterError("scale must be finite and positive")
     length = round_length(length)
     log_n = math.log(n)
     theta = scale * 10.0 * confidence * length * length * log_n
@@ -184,15 +185,19 @@ def desk_params(length: int, target: int, *, growth: float = 10.0,
                         laziness=laziness, mode=mode, fail_policy=fail_policy)
 
 
+def _theory_multipliers(tau: float, length: int) -> np.ndarray:
+    """Theory-mode surplus factors tau^(3k-3), index k-1 for label k."""
+    return tau ** (3.0 * np.arange(length))
+
+
 def label_multipliers(params: StitchParams) -> np.ndarray:
     """Per-label surplus factors, index k-1 for label k."""
-    ks = np.arange(1, params.length + 1, dtype=np.int64)
     if params.mode == "theory":
-        return params.surplus ** (3.0 * (ks - 1))
+        return _theory_multipliers(params.surplus, params.length)
     levels = params.length.bit_length() - 1
     expo = np.zeros(params.length, dtype=np.int64)
     if params.length > 1:
-        rest = ks[1:] - 1
+        rest = np.arange(1, params.length)
         v2 = np.round(np.log2(rest & -rest)).astype(np.int64)
         expo[1:] = levels - v2
     return params.surplus ** expo.astype(float)
@@ -206,9 +211,8 @@ def _budget_from_float(g: Graph, raw: np.ndarray) -> np.ndarray:
 
 def initial_budgets(g: Graph, params: StitchParams) -> np.ndarray:
     """Stationary-proportional start: base_budget * degree(v) * multiplier(k)."""
-    mult = label_multipliers(params)
-    raw = (params.base_budget * g.degrees.astype(float))[:, None] * mult[None, :]
-    return _budget_from_float(g, raw)
+    return _budget_from_float(g, np.outer(params.base_budget * g.degrees.astype(float),
+                                          label_multipliers(params)))
 
 
 def update_budgets(walks: np.ndarray, exponent: int, params: StitchParams,
@@ -258,6 +262,8 @@ def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
     if isolated.size:
         raise EngineError(f"positive budget on isolated vertex {int(isolated[0])}")
     total = int(per_vertex.sum())
+    if total > np.iinfo(np.int32).max:
+        raise EngineError(f"{total} segments exceed the int32 segment index")
     labels = np.repeat(
         np.tile(np.arange(1, params.length + 1, dtype=np.int16), g.n), budgets.ravel())
     starts = np.repeat(np.arange(g.n, dtype=np.int32), per_vertex)
@@ -286,15 +292,15 @@ class StitchResult:
 
     failed lists, per phase, the label-1 requesters whose request went
     unserved: (phase, their segment ids at level phase-1, their start
-    vertices). `failed_chunks` builds their prefixes.
+    vertices). `failed_chunks` builds their prefixes. Counts are not kept
+    here: vertex v started budgets[v, 0] label-1 walks, and the rounds are
+    in the cluster's ledger.
     """
 
     leaf_start: np.ndarray            # (S,) int32
     leaf_end: np.ndarray              # (S,) int32
     levels: List[Tuple[np.ndarray, np.ndarray]]   # per phase, int32 child ids
     starts: np.ndarray                # (K,) start vertex of each finished walk
-    cycle: int
-    attempted_first: np.ndarray       # per-vertex count of label-1 segments created
     failed: List[Tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
 
     def leaf_ids(self, rows: np.ndarray, level: int | None = None) -> np.ndarray:
@@ -382,10 +388,7 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
     only indices.
     """
     leaf_start, leaf_end, labels = init_walks(g, budgets, params, master_seed, cycle)
-    if labels.size > np.iinfo(np.int32).max:
-        raise EngineError(f"{labels.size} segments exceed the int32 segment index")
     start, end = leaf_start, leaf_end
-    attempted_first = np.bincount(start[labels == 1], minlength=g.n)
     levels: List[Tuple[np.ndarray, np.ndarray]] = []
     failed: List[Tuple[int, np.ndarray, np.ndarray]] = []
     theory = params.mode == "theory"
@@ -459,8 +462,7 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
 
     assert np.all(labels == 1)
     return StitchResult(leaf_start=leaf_start, leaf_end=leaf_end, levels=levels,
-                        starts=start, cycle=cycle, attempted_first=attempted_first,
-                        failed=failed)
+                        starts=start, failed=failed)
 
 
 def cycle_plan(target: int, growth: float) -> Tuple[int, int]:
@@ -514,17 +516,17 @@ class RunMetrics:
         return asdict(self)
 
 
-def _run_metrics(cluster: Cluster, totals: List[int], target: int, ok: int,
+def _run_metrics(ledger: RoundLedger, totals: List[int], target: int, ok: int,
                  attempted: int) -> RunMetrics:
-    """Metrics of a run with one budget total per cycle, read off its cluster."""
-    report = cluster.report()
+    """Metrics of a run with one budget total per cycle and the rounds of
+    `ledger`."""
     return RunMetrics(
-        cycles=len(totals), supersteps=report["supersteps"],
-        paper_rounds=report["paper_rounds"], per_cycle_budget_totals=totals,
-        total_budget=sum(totals), max_machine_words=report["max_machine_words"],
+        cycles=len(totals), supersteps=ledger.superstep_count,
+        paper_rounds=ledger.paper_rounds(), per_cycle_budget_totals=totals,
+        total_budget=sum(totals), max_machine_words=ledger.max_machine_words(),
         rooted_target=target, rooted_ok=ok, rooted_attempted_final=attempted,
         failure_rate_final=(1.0 - ok / attempted) if attempted else 0.0,
-        violations=report["violations"])
+        violations=ledger.violations)
 
 
 @dataclass
@@ -563,6 +565,7 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
             f"{params.threshold:.3g}; calibration cannot grow the root budget",
             RuntimeWarning, stacklevel=3)
 
+    first_round = cluster.ledger.superstep_count
     budgets = initial_budgets(g, params)
     stats: List[CycleStats] = []
     history: List[np.ndarray] = []
@@ -573,14 +576,11 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
         if keep_history:
             history.append(budgets)
         budget_total = int(budgets.sum())
-        try:
-            res = stitch(g, budgets, params, cluster, seed, cycle=i)
-        except StitchFailure as exc:
-            raise StitchFailure(exc.vertex, exc.label, exc.phase, exc.deficit, i) from None
+        attempted = int(budgets[roots_arr, 0].sum())
+        res = stitch(g, budgets, params, cluster, seed, cycle=i)
         rooted = res.walks(np.flatnonzero(np.isin(res.starts, roots_arr)))
         if keep_history:
             rooted_history.append(rooted)
-        attempted = int(res.attempted_first[roots_arr].sum())
         if i > calib:
             failed_walks = [(phase, res.walks(ids[np.isin(starts, roots_arr)], phase - 1))
                             for phase, ids, starts in res.failed]
@@ -605,7 +605,8 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
     # walks is an unbiased uniform subsample
     shuffle = substream(seed, SHUFFLE_STREAM, calib + 1)
     rooted_walks = rooted[shuffle.permutation(rooted.shape[0])]
-    metrics = _run_metrics(cluster, [s.budget_total for s in stats], params.target,
+    metrics = _run_metrics(cluster.ledger.since(first_round),
+                           [s.budget_total for s in stats], params.target,
                            final.rooted_ok, final.rooted_attempted)
     return RunResult(walks=rooted_walks, roots=tuple(int(r) for r in roots_arr),
                      params=params, metrics=metrics, cycle_stats=stats,
@@ -651,7 +652,6 @@ def dyadic_decompose(budgets: Dict[int, int]) -> List[Tuple[List[int], int]]:
 @dataclass
 class MultiSourceResult:
     walks_by_root: Dict[int, np.ndarray]
-    requested: Dict[int, int]
     shortfall: Dict[int, int]
     group_results: List[RunResult]
     metrics: RunMetrics
@@ -668,32 +668,26 @@ def run_multi_source(g: Graph, budgets: Dict[int, int], params: StitchParams,
     groups, rounds are reported as the maximum of any single group.
     """
     cluster = cluster or Cluster()
-    groups = dyadic_decompose(budgets)
+    first_round = cluster.ledger.superstep_count
     requested = {int(v): int(b) for v, b in budgets.items() if b > 0}
     walks_by_root: Dict[int, np.ndarray] = {}
     results: List[RunResult] = []
-    group_supersteps: List[int] = []
-    group_rounds: List[int] = []
-    for gi, (members, common) in enumerate(groups):
-        before = cluster.ledger.superstep_count
-        before_rounds = cluster.ledger.paper_rounds()
-        p = replace(params, target=int(common))
-        res = _run_group(g, members, p, cluster, seed, group_id=gi)
-        group_supersteps.append(cluster.ledger.superstep_count - before)
-        group_rounds.append(cluster.ledger.paper_rounds() - before_rounds)
+    for gi, (members, common) in enumerate(dyadic_decompose(budgets)):
+        res = _run_group(g, members, replace(params, target=int(common)), cluster, seed,
+                         group_id=gi)
         results.append(res)
         for r in members:
             walks_by_root[r] = res.walks[res.walks[:, 0] == r]
     shortfall = {v: max(0, b - walks_by_root[v].shape[0]) for v, b in requested.items()}
     metrics = _run_metrics(
-        cluster, [t for r in results for t in r.metrics.per_cycle_budget_totals],
+        cluster.ledger.since(first_round),
+        [t for r in results for t in r.metrics.per_cycle_budget_totals],
         sum(requested.values()), sum(w.shape[0] for w in walks_by_root.values()),
         sum(r.metrics.rooted_attempted_final for r in results))
-    metrics = replace(metrics, supersteps=max(group_supersteps),
-                      paper_rounds=max(group_rounds))
-    return MultiSourceResult(walks_by_root=walks_by_root, requested=requested,
-                             shortfall=shortfall, group_results=results,
-                             metrics=metrics)
+    metrics = replace(metrics, supersteps=max(r.metrics.supersteps for r in results),
+                      paper_rounds=max(r.metrics.paper_rounds for r in results))
+    return MultiSourceResult(walks_by_root=walks_by_root, shortfall=shortfall,
+                             group_results=results, metrics=metrics)
 
 
 @dataclass
@@ -712,28 +706,28 @@ def uniform_stitching(g: Graph, b0_per_degree: float, length: int,
     ceil(b0_per_degree * degree(v) * tau^(3k-3)) on every label k, i.e. the
     stationary-proportional allocation that yields walks from all vertices
     at once. Serving is pooled; failures are tolerated and reported."""
-    if b0_per_degree < 1:
-        raise ParameterError("b0_per_degree must be >= 1")
-    if tau < 1:
-        raise ParameterError("tau must be >= 1")
+    if not 1 <= b0_per_degree < math.inf:
+        raise ParameterError("b0_per_degree must be finite and >= 1")
+    if not 1 <= tau < math.inf:
+        raise ParameterError("tau must be finite and >= 1")
     length = round_length(length)
     params = StitchParams(length=length, target=1, growth=2.0, threshold=1.0,
                           base_budget=float(b0_per_degree), surplus=tau,
                           laziness=laziness, mode="practical", fail_policy="tolerate")
-    ks = np.arange(1, length + 1, dtype=float)
-    mult = float(tau) ** (3.0 * (ks - 1.0))
-    raw = (b0_per_degree * g.degrees.astype(float))[:, None] * mult[None, :]
-    budgets = _budget_from_float(g, raw)
+    budgets = _budget_from_float(g, np.outer(b0_per_degree * g.degrees.astype(float),
+                                             _theory_multipliers(tau, length)))
     total = int(budgets.sum())
     cluster = cluster or Cluster()
+    first_round = cluster.ledger.superstep_count
     run_seed = derive_key(seed, _ENGINE_NS, 0)
     res = stitch(g, budgets, params, cluster, run_seed, cycle=1)
     shuffle = substream(run_seed, SHUFFLE_STREAM, 1)
     res.reorder(shuffle.permutation(res.starts.size))
     verts = res.verts  # every walk is returned: build them now, in the shuffled order
     ok_per_vertex = np.bincount(verts[:, 0], minlength=g.n)
-    attempted = int(res.attempted_first.sum())
-    metrics = _run_metrics(cluster, [total], attempted, int(ok_per_vertex.sum()), attempted)
+    attempted = int(budgets[:, 0].sum())
+    metrics = _run_metrics(cluster.ledger.since(first_round), [total], attempted,
+                           int(ok_per_vertex.sum()), attempted)
     return UniformResult(result=res, params=params, total_budget=total,
                          ok_per_vertex=ok_per_vertex, metrics=metrics)
 

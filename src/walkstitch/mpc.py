@@ -3,7 +3,9 @@
 Vertices are hashed to machines; computation proceeds in supersteps, each a
 compute phase followed by a barrier exchange. The simulator is a cost model:
 it accounts for communication (message and word counts per receiving machine
-per round) and delivers nothing, so no result can depend on arrival order. A
+per round, every message of one exchange having the same word count) and
+delivers nothing, so no result can depend on arrival order. The ledger is the
+only record of a run's rounds: callers read its counters directly. A
 request+reply pair during stitching costs 2 supersteps and is reported as a
 single "paper round".
 """
@@ -76,12 +78,17 @@ class RoundLedger:
         return len(self.rounds)
 
     def paper_rounds(self) -> int:
+        """Supersteps, with each request/reply pair counted once."""
         paired = sum(1 for r in self.rounds if r.kind in _PAIRED_KINDS)
-        other = len(self.rounds) - paired
-        return paired // 2 + other
+        return len(self.rounds) - paired + paired // 2
 
     def max_machine_words(self) -> int:
         return max((r.max_words_per_machine for r in self.rounds), default=0)
+
+    def since(self, first: int) -> "RoundLedger":
+        """The supersteps from index `first` on; violations keep their round."""
+        return RoundLedger(self.rounds[first:],
+                           [v for v in self.violations if v["round"] >= first])
 
 
 def assign_machine(cfg: ClusterConfig, v: int) -> int:
@@ -104,11 +111,11 @@ class Cluster:
         hashed = splitmix64_array(vs.astype(np.uint64))
         return (hashed % np.uint64(self.cfg.num_machines)).astype(np.int64)
 
-    def exchange_bulk(self, dest: np.ndarray, words, kind: str = KIND_OTHER) -> None:
-        """Account for one barrier exchange of len(dest) messages.
+    def exchange_bulk(self, dest: np.ndarray, words: int, kind: str = KIND_OTHER) -> None:
+        """Account for one barrier exchange of len(dest) messages of `words`
+        words each.
 
-        dest holds each message's destination vertex; words is one word count
-        for every message or an array of per-message counts. Appends one
+        dest holds each message's destination vertex. Appends one
         RoundRecord. Loads are charged to the receiving machine only, so no
         sender is needed; an overflow is logged as a violation (strict mode
         raises CapacityError). Nothing is delivered, so there is no delivery
@@ -116,24 +123,14 @@ class Cluster:
         """
         dest = np.asarray(dest)
         n_msgs = int(dest.size)
-        if np.isscalar(words) or getattr(words, "ndim", 1) == 0:
-            words_arr = None
-            total_words = int(words) * n_msgs
-        else:
-            words_arr = np.asarray(words, dtype=np.int64)
-            total_words = int(words_arr.sum())
-
+        total_words = int(words) * n_msgs
         if n_msgs == 0:
             max_per_machine = 0
         elif self.cfg.num_machines == 1:
             max_per_machine = total_words
         else:
-            machines = self.assign_machines(dest)
-            if words_arr is None:
-                loads = np.bincount(machines, minlength=self.cfg.num_machines) * int(words)
-            else:
-                loads = np.bincount(machines, weights=words_arr,
-                                    minlength=self.cfg.num_machines).astype(np.int64)
+            loads = np.bincount(self.assign_machines(dest),
+                                minlength=self.cfg.num_machines) * int(words)
             max_per_machine = int(loads.max())
 
         round_index = self.ledger.superstep_count
@@ -142,27 +139,9 @@ class Cluster:
             max_words_per_machine=max_per_machine))
 
         if max_per_machine > self.cfg.machine_capacity:
-            if self.cfg.num_machines == 1:
-                offender = 0
-            else:
-                offender = int(np.argmax(loads))
+            offender = 0 if self.cfg.num_machines == 1 else int(np.argmax(loads))
             self.ledger.violations.append(
                 {"round": round_index, "machine": offender, "words": max_per_machine})
             if self.cfg.enforce_capacity:
                 raise CapacityError(offender, round_index, max_per_machine,
                                     self.cfg.machine_capacity)
-
-    def report(self) -> dict:
-        """Ledger counters in the run-metrics JSON fragment shape."""
-        return {
-            "supersteps": self.ledger.superstep_count,
-            "paper_rounds": self.ledger.paper_rounds(),
-            "max_machine_words": self.ledger.max_machine_words(),
-            "violations": list(self.ledger.violations),
-            "rounds": [
-                {"kind": r.kind, "messages_sent": r.messages_sent,
-                 "total_words": r.total_words,
-                 "max_words_per_machine": r.max_words_per_machine}
-                for r in self.ledger.rounds
-            ],
-        }

@@ -52,8 +52,8 @@ class PPRParams:
     def theory(cls, n: int, alpha: float, eta: float) -> "PPRParams":
         """T = ceil(10 ln n / alpha), M = ceil(10^6 ln^3 n / (eta^2 alpha^2))
         for additive error target eta."""
-        if eta <= 0:
-            raise PPRError("eta must be positive")
+        if not 0 < eta < math.inf:
+            raise PPRError("eta must be finite and positive")
         log_n = math.log(n)
         T = math.ceil(10.0 * log_n / alpha)
         M = math.ceil(1e6 * log_n ** 3 / (eta * eta * alpha * alpha))

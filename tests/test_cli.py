@@ -16,6 +16,13 @@ def path_graph_file(tmp_path):
 
 
 @pytest.fixture
+def c8_file(tmp_path):
+    p = tmp_path / "c8.txt"
+    p.write_text("".join(f"{v} {(v + 1) % 8}\n" for v in range(8)))
+    return str(p)
+
+
+@pytest.fixture
 def cliques_cache(tmp_path):
     p = tmp_path / "cliques.lwg"
     save_cache(two_cliques(15), str(p))
@@ -127,6 +134,51 @@ class TestWalks:
                      "--tau", 1, "--fail-policy", "abort", "--seed", 2)
         assert rc == 1
 
+    def test_theory_param_mode(self, c8_file, tmp_path):
+        report = tmp_path / "r.json"
+        rc = run_cli("walks", "--graph", c8_file, "--root", 0, "--param-mode", "theory",
+                     "--confidence", 1.5, "--scale", 0.01, "--length", 2, "--growth", 2,
+                     "--target", 8, "--seed", 4, "--report", report)
+        assert rc == 0
+        data = json.loads(report.read_text())
+        assert data["config"]["confidence"] == 1.5 and data["config"]["scale"] == 0.01
+        assert data["metrics"]["cycles"] == 4     # floor(log2 8) calibration cycles + 1
+        assert data["metrics"]["rooted_ok"] >= 8
+        assert data["walks_valid"] is True
+
+    @pytest.mark.parametrize("b0,rc_expected", [(40, 0), (20, 1)])
+    def test_bucketed_abort(self, b0, rc_expected, c8_file, tmp_path, capsys):
+        out = tmp_path / "w.txt"
+        rc = run_cli("walks", "--graph", c8_file, "--root", 0, "--mode", "theory",
+                     "--fail-policy", "abort", "--length", 4, "--target", 500,
+                     "--tau", 1.5, "--theta", 10, "--b0", b0, "--seed", 3, "--out", out)
+        assert rc == rc_expected
+        if rc == 0:
+            lines = out.read_text().splitlines()
+            assert len(lines) >= 500
+            assert all(line.split()[2] == "ok" for line in lines)
+        else:   # the failure names the cycle it happened in
+            assert capsys.readouterr().err.startswith(
+                "fail: stitch failed: vertex 3, label 4, phase 1, cycle 3,")
+            assert not out.exists()
+
+    def test_int32_segment_limit_exit_1(self, path_graph_file, capsys):
+        # about 10^13 segments: refused before any segment array is allocated
+        rc = run_cli("walks", "--graph", path_graph_file, "--root", 0, "--length", 2,
+                     "--b0", 1e12, "--seed", 1)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fail: ") and "segments exceed the int32 segment index" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_out_of_memory_exit_1(self, path_graph_file, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+        monkeypatch.setattr(engine, "init_walks", no_memory)
+        rc = run_cli("walks", "--graph", path_graph_file, "--root", 0, "--seed", 1)
+        assert rc == 1
+        assert capsys.readouterr().err == "fail: Unable to allocate 8.00 GiB for an array\n"
+
     def test_strict_capacity_exit_3(self, cliques_cache, tmp_path):
         rc = run_cli("walks", "--graph", cliques_cache, "--root", 0,
                      "--length", 4, "--target", 100, "--theta", 20, "--b0", 10,
@@ -231,6 +283,25 @@ def test_cluster_bad_ppr_params_exit_2(params, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "walks --b0 nan", "walks --b0 inf", "walks --tau nan", "walks --tau inf",
+    "walks --growth nan", "walks --growth inf", "walks --theta nan", "walks --theta inf",
+    "walks --param-mode theory --confidence nan", "walks --param-mode theory --scale nan",
+    "compare-baseline --baseline-tau nan", "compare-baseline --baseline-tau inf",
+    "ppr --alpha 0.2 --ppr-mode theory --eta nan",
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_parameter_exit_2(argv, path_graph_file, tmp_path, capsys):
+    command, *params = argv.split()
+    report = tmp_path / "r.json"
+    rc = run_cli(command, "--graph", path_graph_file, "--root", 0, "--target", 10,
+                 "--length", 2, *params, "--seed", 1, "--report", report)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not report.exists()
+
+
 class TestPPRCommand:
     def test_alpha_one_single_row(self, cliques_cache, tmp_path):
         out = tmp_path / "q.csv"
@@ -280,6 +351,21 @@ class TestPPRCommand:
         rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1,
                      "--alpha", 0.2, "--seed", 4)
         assert rc == 2
+
+    def test_theory_mode_needs_eta(self, cliques_cache, capsys):
+        rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1, "--alpha", 0.2,
+                     "--ppr-mode", "theory", "--target", 100, "--seed", 1)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: theory mode needs --eta\n"
+
+    def test_theory_mode_target_below_m_exit_1(self, cliques_cache, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1, "--alpha", 0.2,
+                     "--ppr-mode", "theory", "--eta", 0.5, "--target", 100, "--length", 4,
+                     "--seed", 1, "--report", report)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("fail: need M=")
+        assert not report.exists()
 
     def test_walks_file_reuse(self, cliques_cache, tmp_path):
         wfile = tmp_path / "w.txt"

@@ -210,6 +210,14 @@ class TestStitch:
         assert exc.value.deficit == 1
         assert exc.value.vertex in (1, 3)
 
+    def test_int32_segment_limit_checked_before_allocating(self):
+        g = cycle_graph(4)
+        p = StitchParams(length=2, target=1, growth=2.0, threshold=1.0,
+                         base_budget=1.0, surplus=1.5)
+        budgets = np.full((4, 2), 1 << 37, dtype=np.int64)   # 2^40 segments
+        with pytest.raises(engine.EngineError, match="exceed the int32 segment index"):
+            stitch(g, budgets, p, Cluster(), master_seed=5)
+
     def test_tolerate_returns_valid_walks(self):
         g = complete_graph(3)
         p = StitchParams(length=2, target=1, growth=2.0, threshold=1.0,
@@ -549,6 +557,18 @@ class TestMultiSource:
         for v, b in req.items():
             assert multi.walks_by_root[v].shape[0] + multi.shortfall[v] >= b
             assert np.all(multi.walks_by_root[v][:, 0] == v)
+
+    def test_groups_count_their_own_rounds(self):
+        g = two_cliques(6)
+        p = desk_params(length=4, target=10, growth=4, threshold=3, base_budget=5, tau=1.5)
+        multi = run_multi_source(g, {0: 4, 7: 40, 3: 300}, p, seed=1)
+        metrics = [r.metrics for r in multi.group_results]
+        assert [m.cycles for m in metrics] == [2, 3, 5]
+        for m in metrics:   # 2 supersteps per phase, log2 L = 2 phases, one update between cycles
+            assert m.supersteps == m.cycles * 2 * 2 + m.cycles - 1
+            assert m.paper_rounds == m.cycles * 2 + m.cycles - 1
+        assert multi.metrics.supersteps == max(m.supersteps for m in metrics)
+        assert multi.metrics.paper_rounds == max(m.paper_rounds for m in metrics)
 
     def test_per_root_distribution(self):
         g = cycle_graph(8)

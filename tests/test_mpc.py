@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from walkstitch.mpc import (CapacityError, Cluster, ClusterConfig,
-                            assign_machine)
+from walkstitch.mpc import (KIND_REPLY, KIND_REQUEST, KIND_UPDATE, CapacityError,
+                            Cluster, ClusterConfig, RoundRecord, assign_machine)
 from walkstitch.rng import splitmix64, splitmix64_array, substream
 
 
@@ -43,8 +43,8 @@ class TestExchange:
         c = Cluster()
         assert c.exchange_bulk(NO_MSGS, words=1) is None
         assert c.ledger.superstep_count == 1
-        assert c.report()["rounds"] == [{"kind": "message", "messages_sent": 0,
-                                         "total_words": 0, "max_words_per_machine": 0}]
+        assert c.ledger.rounds == [RoundRecord(kind="message", messages_sent=0,
+                                               total_words=0, max_words_per_machine=0)]
 
     def test_capacity_violation_strict_names_machine(self):
         c = Cluster(ClusterConfig(num_machines=1, machine_capacity=10,
@@ -61,13 +61,12 @@ class TestExchange:
         c = Cluster(ClusterConfig(num_machines=4))
         rng = np.random.Generator(np.random.PCG64(8))
         dest = rng.integers(0, 50, size=300)
-        words = rng.integers(1, 9, size=300)
-        c.exchange_bulk(dest, words)
+        c.exchange_bulk(dest, 7)
         rec = c.ledger.rounds[-1]
         assert rec.messages_sent == 300
-        assert rec.total_words == int(words.sum())
-        loads = np.bincount(c.assign_machines(dest), weights=words, minlength=4)
-        assert loads.sum() == words.sum()
+        assert rec.total_words == 300 * 7
+        loads = np.bincount(c.assign_machines(dest), minlength=4) * 7
+        assert loads.sum() == 300 * 7
         assert rec.max_words_per_machine == int(loads.max())
 
     def test_superstep_monotonic(self):
@@ -83,33 +82,40 @@ class TestExchange:
             for _ in range(4):
                 d = rng.integers(0, 20, size=60)
                 c.exchange_bulk(d, words=2)
-            return c.report()["rounds"]
+            return c.ledger.rounds
         assert run() == run()
 
 
 class TestReport:
     def test_fresh_ledger(self):
-        rep = Cluster().report()
-        assert rep["supersteps"] == 0
-        assert rep["rounds"] == []
-        assert rep["violations"] == []
+        ledger = Cluster().ledger
+        assert ledger.superstep_count == 0
+        assert ledger.rounds == []
+        assert ledger.violations == []
 
     def test_after_two_exchanges(self):
         c = Cluster()
         c.exchange_bulk(NO_MSGS, words=1)
         c.exchange_bulk(np.array([1]), words=2)
-        rep = c.report()
-        assert rep["supersteps"] == 2
-        assert rep["max_machine_words"] == 2
+        assert c.ledger.superstep_count == 2
+        assert c.ledger.max_machine_words() == 2
 
     def test_paper_rounds_pairs(self):
-        from walkstitch.mpc import KIND_REPLY, KIND_REQUEST, KIND_UPDATE
         c = Cluster()
         for kind in (KIND_REQUEST, KIND_REPLY, KIND_REQUEST, KIND_REPLY, KIND_UPDATE):
             c.exchange_bulk(np.array([0]), words=1, kind=kind)
-        rep = c.report()
-        assert rep["supersteps"] == 5
-        assert rep["paper_rounds"] == 3  # two request/reply pairs + one update
+        assert c.ledger.superstep_count == 5
+        assert c.ledger.paper_rounds() == 3  # two request/reply pairs + one update
+
+    def test_since_counts_later_rounds_only(self):
+        c = Cluster(ClusterConfig(machine_capacity=10))
+        for kind, words in ((KIND_UPDATE, 11), (KIND_REQUEST, 12), (KIND_REPLY, 5)):
+            c.exchange_bulk(np.array([0]), words=words, kind=kind)
+        tail = c.ledger.since(1)
+        assert tail.superstep_count == 2
+        assert tail.paper_rounds() == 1
+        assert tail.max_machine_words() == 12
+        assert tail.violations == [{"round": 1, "machine": 0, "words": 12}]
 
 
 class TestSubstreams:
