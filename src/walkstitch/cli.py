@@ -11,9 +11,9 @@ flags win. store_true flags are written `strict=true`.
 Exit codes: 0 success; 1 algorithmic failure (abort-mode stitch failure,
 fewer usable walks than --M, a failing oracle check, budgets whose segments
 do not fit in memory or in int32 indices); 2 usage or parse error
-(bad flag or config line; --root or --seed-vertex outside the graph;
-malformed, non-UTF-8 or missing input file; corrupt graph cache); 3 capacity
-violation in strict mode.
+(bad flag or config line; --root or --seed-vertex outside the graph; length
+above 2^14; malformed, non-UTF-8 or missing input file, or a vertex twice in
+a budget file; corrupt graph cache); 3 capacity violation in strict mode.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -150,13 +151,15 @@ def load_graph(path: str) -> Graph:
 
 
 def read_budget_file(path: str) -> Dict[int, int]:
-    """Multi-source budgets from "vertex budget" lines."""
+    """Multi-source budgets from "vertex budget" lines, one line per vertex."""
     budgets: Dict[int, int] = {}
     for where, line in read_lines(path):
         toks = line.split()
         if len(toks) != 2:
             raise UsageError(f"{where}: expected 'vertex budget'")
         vertex, budget = to_ints(where, toks)
+        if vertex in budgets:
+            raise UsageError(f"{where}: vertex {vertex} already has a budget")
         budgets[vertex] = budget
     return budgets
 
@@ -278,7 +281,8 @@ def cmd_walks(args) -> int:
             write_walk_file(args.out, ((cycles_of[root], "ok", multi.walks_by_root[root])
                                        for root in sorted(multi.walks_by_root)))
         payload = {
-            "metrics": multi.metrics.to_dict(),
+            "metrics": asdict(multi.metrics),
+            "params": asdict(params),
             "shortfall": {str(k): v for k, v in sorted(multi.shortfall.items())},
             "walks_per_root": {str(k): int(multi.walks_by_root[k].shape[0])
                                for k in sorted(multi.walks_by_root)},
@@ -288,8 +292,7 @@ def cmd_walks(args) -> int:
 
     if args.root is None:
         raise UsageError("need --root (or --budgets for multi-source)")
-    run = run_budgeted(g, args.root, params, cluster=cluster, seed=args.seed,
-                       keep_history=bool(args.dump_budgets))
+    run = run_budgeted(g, args.root, params, cluster=cluster, seed=args.seed)
     wall = time.perf_counter() - t0
     if args.out:
         cycle = run.metrics.cycles
@@ -297,16 +300,16 @@ def cmd_walks(args) -> int:
             (cycle, f"failed@{(1 << (phase - 1)) + 1}", chunk)
             for phase, chunk in run.failed_walks])
     if args.dump_budgets:
-        budgets = run.budget_history[-1]
-        vs, ks = np.nonzero(budgets)
+        vs, ks = np.nonzero(run.budgets)
         _write_csv(args.dump_budgets, "vertex,label,budget",
-                   zip(vs.tolist(), (ks + 1).tolist(), budgets[vs, ks].tolist()))
+                   zip(vs.tolist(), (ks + 1).tolist(), run.budgets[vs, ks].tolist()))
     if args.csv:
         _write_csv(args.csv,
                    "cycle,budget_total,rooted_attempted,rooted_ok,failure_rate",
                    ((s.cycle, s.budget_total, s.rooted_attempted, s.rooted_ok,
                      s.failure_rate) for s in run.cycle_stats))
-    payload = {"metrics": run.metrics.to_dict(),
+    payload = {"metrics": asdict(run.metrics),
+               "params": asdict(params),
                "walks_ok": int(run.walks.shape[0]),
                "walks_valid": validate_walks(g, run.walks, params.lazy)}
     write_report(args.report, payload, args, wall)
@@ -325,6 +328,7 @@ def cmd_ppr(args) -> int:
     else:
         pparams = PPRParams.desk(args.alpha, args.T, args.M)
 
+    payload: Dict[str, object] = {}
     if args.alpha >= 1.0:
         q = ScoreVector.indicator(args.root, g.n)
     else:
@@ -345,6 +349,7 @@ def cmd_ppr(args) -> int:
             cluster = make_cluster(args)
             run = run_budgeted(g, args.root, params, cluster=cluster, seed=args.seed)
             batch = WalkBatch(run.walks, lazy=True)
+            payload["params"] = asdict(params)
         else:
             raise UsageError("need --walks FILE or engine params (--target ...)")
         q = approx_ppr(g, args.root, pparams, batch)
@@ -354,10 +359,10 @@ def cmd_ppr(args) -> int:
     for path in (args.out, args.csv):
         if path:
             _write_csv(path, "vertex,score", zip(supp.tolist(), q.dense[supp].tolist()))
-    payload: Dict[str, object] = {
+    payload.update({
         "root": args.root, "alpha": args.alpha, "T": pparams.T, "M": pparams.M,
         "mass": q.mass(), "support_size": len(q),
-    }
+    })
     if args.verify:
         if g.n > oracle.ORACLE_MAX_N:
             raise UsageError(f"--verify needs n <= {oracle.ORACLE_MAX_N}")
@@ -417,6 +422,7 @@ def cmd_compare_baseline(args) -> int:
                      "b0_per_degree": b0_uniform,
                      "rooted_ok": int(baseline.ok_per_vertex[args.root])},
         "budget_ratio": ratio,
+        "params": asdict(params),
     }
     write_report(args.report, payload, args, wall)
     return EXIT_OK

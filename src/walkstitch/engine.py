@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
@@ -110,11 +110,12 @@ class StitchParams:
     laziness: str = "none"
     mode: str = "practical"
     fail_policy: str = "tolerate"
-    confidence: float = 1.0
 
     def __post_init__(self):
         if self.length < 1 or self.length & (self.length - 1):
             raise ParameterError(f"length {self.length} is not a power of two")
+        if self.length > 1 << 14:
+            raise ParameterError(f"length {self.length} exceeds 2^14, as labels are int16")
         if self.target < 1:
             raise ParameterError("target must be >= 1")
         # chained comparisons also reject NaN and infinities
@@ -171,8 +172,7 @@ def theory_params(n: int, length: int, growth: float, confidence: float = 1.0, *
             "stitching may exhaust stocks", RuntimeWarning, stacklevel=2)
     return StitchParams(length=length, target=target, growth=growth,
                         threshold=theta, base_budget=base, surplus=tau,
-                        laziness=laziness, mode="theory", fail_policy=fail_policy,
-                        confidence=confidence)
+                        laziness=laziness, mode="theory", fail_policy=fail_policy)
 
 
 def desk_params(length: int, target: int, *, growth: float = 10.0,
@@ -204,6 +204,12 @@ def label_multipliers(params: StitchParams) -> np.ndarray:
 
 
 def _budget_from_float(g: Graph, raw: np.ndarray) -> np.ndarray:
+    """ceil(raw) as int64 budgets, zero on isolated vertices."""
+    bad = np.argwhere(~(raw <= np.iinfo(np.int32).max))   # NaN and inf too
+    if bad.size:
+        v, k = bad[0]
+        raise EngineError(f"{raw[v, k]:.3g} segments exceed the int32 segment index "
+                          f"at vertex {v}, label {k + 1}")
     vals = np.ceil(raw).astype(np.int64)
     vals[g.degrees == 0, :] = 0
     return vals
@@ -489,7 +495,6 @@ class CycleStats:
     budget_total: int
     rooted_attempted: int
     rooted_ok: int
-    exponent_used: int | None  # exponent of the update after this cycle
 
     @property
     def failure_rate(self) -> float:
@@ -512,9 +517,6 @@ class RunMetrics:
     failure_rate_final: float
     violations: List[dict]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _run_metrics(ledger: RoundLedger, totals: List[int], target: int, ok: int,
                  attempted: int) -> RunMetrics:
@@ -531,14 +533,17 @@ def _run_metrics(ledger: RoundLedger, totals: List[int], target: int, ok: int,
 
 @dataclass
 class RunResult:
-    walks: np.ndarray                  # ok rooted walks, (K, length+1)
+    """A run's final cycle: its ok rooted walks (K, length+1) in shuffled
+    order, the (phase, prefixes) of its rooted walks that went unserved, and
+    the (n, length) budgets it stitched (None in a multi-source group)."""
+
+    walks: np.ndarray
     roots: Tuple[int, ...]
     params: StitchParams
     metrics: RunMetrics
     cycle_stats: List[CycleStats]
-    failed_walks: List[Tuple[int, np.ndarray]]     # final-cycle rooted failures
-    budget_history: List[np.ndarray] | None = None   # (n, length) budgets per cycle
-    rooted_by_cycle: List[np.ndarray] | None = None
+    failed_walks: List[Tuple[int, np.ndarray]]
+    budgets: np.ndarray | None
 
 
 def _check_root(g: Graph, r: int) -> None:
@@ -549,8 +554,7 @@ def _check_root(g: Graph, r: int) -> None:
 
 
 def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
-               cluster: Cluster, master_seed: int, group_id: int = 0,
-               keep_history: bool = False) -> RunResult:
+               cluster: Cluster, master_seed: int, group_id: int = 0) -> RunResult:
     for r in roots:
         _check_root(g, r)
     roots_arr = np.asarray(sorted(set(int(r) for r in roots)))
@@ -568,26 +572,22 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
     first_round = cluster.ledger.superstep_count
     budgets = initial_budgets(g, params)
     stats: List[CycleStats] = []
-    history: List[np.ndarray] = []
-    rooted_history: List[np.ndarray] = []
     update_dests = np.flatnonzero(g.degrees > 0).astype(np.int64)
 
     for i in range(1, calib + 2):
-        if keep_history:
-            history.append(budgets)
         budget_total = int(budgets.sum())
         attempted = int(budgets[roots_arr, 0].sum())
         res = stitch(g, budgets, params, cluster, seed, cycle=i)
         rooted = res.walks(np.flatnonzero(np.isin(res.starts, roots_arr)))
-        if keep_history:
-            rooted_history.append(rooted)
         if i > calib:
             failed_walks = [(phase, res.walks(ids[np.isin(starts, roots_arr)], phase - 1))
                             for phase, ids, starts in res.failed]
             failed_walks = [(p, c) for p, c in failed_walks if c.shape[0]]
         # the whole tree goes before the next cycle's stitch allocates its own
         del res
-        expo = None
+        stats.append(CycleStats(cycle=i, budget_total=budget_total,
+                                rooted_attempted=attempted,
+                                rooted_ok=int(rooted.shape[0])))
         if i <= calib:
             if rooted.shape[0] == 0:
                 raise EngineError(f"all rooted walks failed in calibration cycle {i}")
@@ -595,10 +595,6 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
             budgets = update_budgets(rooted, expo, params, g, num_roots=roots_arr.size)
             cluster.exchange_bulk(update_dests, words=params.length + 1,
                                   kind=KIND_UPDATE)
-        stats.append(CycleStats(cycle=i, budget_total=budget_total,
-                                rooted_attempted=attempted,
-                                rooted_ok=int(rooted.shape[0]),
-                                exponent_used=expo))
 
     final = stats[-1]
     # rows are grouped by root; shuffle so that any prefix of the returned
@@ -610,23 +606,19 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
                            final.rooted_ok, final.rooted_attempted)
     return RunResult(walks=rooted_walks, roots=tuple(int(r) for r in roots_arr),
                      params=params, metrics=metrics, cycle_stats=stats,
-                     failed_walks=failed_walks,
-                     budget_history=history if keep_history else None,
-                     rooted_by_cycle=rooted_history if keep_history else None)
+                     failed_walks=failed_walks, budgets=budgets)
 
 
 def run_budgeted(g: Graph, root: int, params: StitchParams,
-                 cluster: Cluster | None = None, seed: int = 0,
-                 keep_history: bool = False) -> RunResult:
+                 cluster: Cluster | None = None, seed: int = 0) -> RunResult:
     """Generate params.target independent length-`length` walks from `root`.
 
     Runs floor(log_growth target) calibration cycles of stitch +
     budget update, then one final stitch; returns the rooted walks of the
-    final cycle with round/memory metrics.
+    final cycle with round/memory metrics and the final cycle's budgets.
     """
     cluster = cluster or Cluster()
-    return _run_group(g, [root], params, cluster, seed, group_id=0,
-                      keep_history=keep_history)
+    return _run_group(g, [root], params, cluster, seed, group_id=0)
 
 
 def dyadic_decompose(budgets: Dict[int, int]) -> List[Tuple[List[int], int]]:
@@ -675,7 +667,7 @@ def run_multi_source(g: Graph, budgets: Dict[int, int], params: StitchParams,
     for gi, (members, common) in enumerate(dyadic_decompose(budgets)):
         res = _run_group(g, members, replace(params, target=int(common)), cluster, seed,
                          group_id=gi)
-        results.append(res)
+        results.append(replace(res, budgets=None))   # no (n, length) array per group
         for r in members:
             walks_by_root[r] = res.walks[res.walks[:, 0] == r]
     shortfall = {v: max(0, b - walks_by_root[v].shape[0]) for v, b in requested.items()}

@@ -108,7 +108,7 @@ def from_edge_array(n: int, edges: np.ndarray, id_map: Tuple[int, ...] | None = 
 
 
 def load_edge_list(source) -> Graph:
-    """Parse a whitespace-separated edge list into a Graph.
+    """Parse a whitespace-separated edge list, given as text or as lines, into a Graph.
 
     Lines starting with '#' are comments. Vertex ids may be arbitrary
     non-negative integers; they are remapped to contiguous 0-based ids in
@@ -118,10 +118,7 @@ def load_edge_list(source) -> Graph:
     self-loops dropped (their vertex ids stay registered). Laziness is added
     by the walk engine, not by self-loops.
     """
-    if isinstance(source, (str, bytes)):
-        lines: Iterable[str] = io.StringIO(source if isinstance(source, str) else source.decode())
-    else:
-        lines = source
+    lines: Iterable[str] = io.StringIO(source) if isinstance(source, str) else source
 
     remap: Dict[int, int] = {}
     us: list[int] = []

@@ -106,8 +106,6 @@ class Cluster:
         self.ledger = RoundLedger()
 
     def assign_machines(self, vs: np.ndarray) -> np.ndarray:
-        if self.cfg.num_machines == 1:
-            return np.zeros(vs.shape, dtype=np.int64)
         hashed = splitmix64_array(vs.astype(np.uint64))
         return (hashed % np.uint64(self.cfg.num_machines)).astype(np.int64)
 

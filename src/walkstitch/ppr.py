@@ -71,14 +71,6 @@ class WalkBatch:
     verts: np.ndarray
     lazy: bool
 
-    @property
-    def count(self) -> int:
-        return self.verts.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.verts.shape[1] - 1
-
 
 def approx_ppr(g: Graph, root: int, params: PPRParams, batch: WalkBatch) -> ScoreVector:
     """Estimate the PageRank vector of chi_root from M lazy walks.
@@ -89,10 +81,11 @@ def approx_ppr(g: Graph, root: int, params: PPRParams, batch: WalkBatch) -> Scor
     """
     if not batch.lazy:
         raise PPRError("approx_ppr requires lazy walks (laziness=half)")
-    if batch.length < params.T:
-        raise PPRError(f"walks have length {batch.length}, need >= T={params.T}")
-    if batch.count < params.M:
-        raise WalkShortfall(f"need M={params.M} walks, have {batch.count}")
+    count, length = batch.verts.shape[0], batch.verts.shape[1] - 1
+    if length < params.T:
+        raise PPRError(f"walks have length {length}, need >= T={params.T}")
+    if count < params.M:
+        raise WalkShortfall(f"need M={params.M} walks, have {count}")
     walks = batch.verts[:params.M]
     if walks.shape[0] and not np.all(walks[:, 0] == root):
         raise PPRError("walk batch does not start at the requested root")
@@ -191,7 +184,6 @@ class LocalClusterResult:
     bound: float
     teleport_dominated: bool
     sweep: SweepResult
-    scores: ScoreVector
     walks_ok: int = 0
 
     def to_dict(self) -> dict:
@@ -255,5 +247,5 @@ def local_cluster(g: Graph, seed_vertex: int, alpha: float, target_volume: int, 
         seed_vertex=int(seed_vertex), alpha=alpha, target_volume=int(target_volume),
         eta=eta, cut=sw.best_set, phi=sw.phi, phi_exact=sw.phi_exact,
         bound=conductance_bound(alpha, target_volume),
-        teleport_dominated=teleport, sweep=sw, scores=q, walks_ok=walks_ok)
+        teleport_dominated=teleport, sweep=sw, walks_ok=walks_ok)
 

@@ -77,7 +77,7 @@ def test_criterion_2_per_path_independence():
             f"max |freq-1/4| {max_dev:.4f} <= 0.01, chi2 {chi:.2f} < {CHI2_999_DF3}")
 
 
-def test_criterion_3_budget_laws():
+def test_criterion_3_budget_laws(calibration):
     """Across every calibration cycle of a 4-cycle run (growth 10, target
     1000) on C8: B(root,1) = ceil(base(root) + growth^i) exactly, and every
     trusted (visit count >= threshold) budget lies inside the confidence
@@ -90,17 +90,15 @@ def test_criterion_3_budget_laws():
     p = StitchParams(length=4, target=1000, growth=10.0, threshold=25.0,
                      base_budget=20.0, surplus=2.0, laziness="none",
                      mode="theory", fail_policy="tolerate")
-    run = run_budgeted(g, root, p, seed=5, keep_history=True)
+    run = run_budgeted(g, root, p, seed=5)
     assert run.metrics.cycles == 4
+    assert len(calibration.updates) == 3
     b0 = p.base_budget * g.degrees.astype(float)
     checked = flagged = 0
-    for ci, stats in enumerate(run.cycle_stats[:-1]):
-        expo = stats.exponent_used
+    for ci, (walks, expo, table) in enumerate(calibration.updates):
         lam_pow = growth_power(p.growth, expo)
-        table = run.budget_history[ci + 1]
         assert table[root, 0] == math.ceil(b0[root] + lam_pow), \
             f"root budget law violated at cycle {ci + 1}"
-        walks = run.rooted_by_cycle[ci]
         for k in range(1, p.length + 1):
             kappa = np.bincount(walks[:, k - 1], minlength=g.n)
             step_probs = oracle.exact_step_dist(g, root, k - 1)
@@ -126,10 +124,11 @@ def test_criterion_4_no_fail_at_theory_parameters():
     (scale 1, for which base >= 3*growth*threshold*sqrt(threshold/(20C ln n))
     holds) complete with zero failures."""
     g = cycle_graph(8)
-    p = theory_params(8, 2, 2.0, 1.0, target=8, fail_policy="abort")
+    confidence = 1.0
+    p = theory_params(8, 2, 2.0, confidence, target=8, fail_policy="abort")
     # the no-fail floor must hold for the run to be meaningful
     floor = 3 * p.growth * p.threshold * math.sqrt(
-        p.threshold / (20 * p.confidence * math.log(8)))
+        p.threshold / (20 * confidence * math.log(8)))
     assert p.base_budget >= floor
     t0 = time.time()
     for seed in range(20):

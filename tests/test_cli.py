@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,6 +20,13 @@ def path_graph_file(tmp_path):
 def c8_file(tmp_path):
     p = tmp_path / "c8.txt"
     p.write_text("".join(f"{v} {(v + 1) % 8}\n" for v in range(8)))
+    return str(p)
+
+
+@pytest.fixture
+def c4_file(tmp_path):
+    p = tmp_path / "c4.txt"
+    p.write_text("0 1\n1 2\n2 3\n3 0\n")
     return str(p)
 
 
@@ -119,7 +127,7 @@ class TestWalks:
                      "--dump-budgets", dump)
         assert rc == 0
         assert len(runs) == 1
-        budgets = runs[0].budget_history[-1]
+        budgets = runs[0].budgets
         expected = ["vertex,label,budget"] + [
             f"{v},{k + 1},{budgets[v, k]}" for v, k in zip(*np.nonzero(budgets))]
         assert dump.read_text().splitlines() == expected
@@ -145,6 +153,45 @@ class TestWalks:
         assert data["metrics"]["cycles"] == 4     # floor(log2 8) calibration cycles + 1
         assert data["metrics"]["rooted_ok"] >= 8
         assert data["walks_valid"] is True
+        # the report shows the derived parameters that ran, not the desk flags
+        ran = engine.theory_params(8, 2, 2.0, 1.5, target=8, scale=0.01,
+                                   fail_policy="tolerate")
+        assert data["params"]["mode"] == "theory"
+        assert data["params"]["threshold"] == ran.threshold
+        assert ran.threshold != data["config"]["theta"]
+        assert data["params"] == asdict(ran)
+
+    def test_timings_in_report(self, c8_file, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        rc = run_cli("walks", "--graph", c8_file, "--root", 0, "--length", 2,
+                     "--target", 5, "--seed", 1, "--timings", "--report", report)
+        assert rc == 0
+        assert json.loads(report.read_text())["wall_clock_sec"] >= 0.0
+        assert "wall clock" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,where", [
+        (["walks", "--mode", "theory", "--tau", 1.5, "--b0", 1, "--theta", 1],
+         "6.46e+09 segments exceed the int32 segment index at vertex 0, label 19"),
+        (["compare-baseline", "--baseline-tau", 5],
+         "2.44e+09 segments exceed the int32 segment index at vertex 0, label 5"),
+    ], ids=["walks", "compare-baseline"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_budget_overflow_exit_1(self, argv, where, c4_file, tmp_path, capsys):
+        # tau^(3k-3) surplus at L 64 overflows the int32 segment index
+        report = tmp_path / "r.json"
+        rc = run_cli(argv[0], "--graph", c4_file, "--root", 0, "--seed", 1,
+                     "--length", 64, "--target", 10, *argv[1:], "--report", report)
+        assert rc == 1
+        assert capsys.readouterr().err.endswith(f"fail: {where}\n")
+        assert not report.exists()
+
+    def test_length_above_int16_labels_exit_2(self, c4_file, capsys):
+        rc = run_cli("walks", "--graph", c4_file, "--root", 0, "--mode", "theory",
+                     "--tau", 1.0000001, "--length", 32768, "--b0", 2, "--theta", 1,
+                     "--target", 5, "--seed", 1)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: length 32768 exceeds 2^14, as labels are int16\n")
 
     @pytest.mark.parametrize("b0,rc_expected", [(40, 0), (20, 1)])
     def test_bucketed_abort(self, b0, rc_expected, c8_file, tmp_path, capsys):
@@ -196,6 +243,7 @@ class TestWalks:
         data = json.loads(report.read_text())
         assert set(data["walks_per_root"]) == {"1", "16"}
         assert data["shortfall"] == {"1": 0, "16": 0}
+        assert data["params"]["threshold"] == 20 and data["params"]["length"] == 4
 
     def test_missing_root_exit_2(self, cliques_cache):
         assert run_cli("walks", "--graph", cliques_cache, "--seed", 1) == 2
@@ -233,6 +281,16 @@ class TestWalks:
                      "--length", 4, "--seed", 3)
         assert rc == 2
         assert f"error: {budgets}:2:" in capsys.readouterr().err
+
+    def test_repeated_budget_vertex_exit_2(self, cliques_cache, tmp_path, capsys):
+        budgets = tmp_path / "b.txt"
+        budgets.write_text("0 5\n# comment\n0 7\n")
+        report = tmp_path / "r.json"
+        rc = run_cli("walks", "--graph", cliques_cache, "--budgets", budgets,
+                     "--length", 4, "--seed", 3, "--report", report)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {budgets}:3: vertex 0 already has a budget\n"
+        assert not report.exists()
 
 
 class TestCsvBytes:
@@ -323,6 +381,8 @@ class TestPPRCommand:
         data = json.loads(report.read_text())
         assert data["max_abs_error_vs_exact"] <= 0.05
         assert abs(data["mass"] - (1 - 0.8 ** 17)) < 1e-12
+        assert data["params"]["length"] == 16 and data["params"]["laziness"] == "half"
+        assert data["params"]["target"] == 5500
 
     def test_walk_shortfall_exit_1(self, cliques_cache, tmp_path, capsys):
         wfile = tmp_path / "w.txt"
@@ -383,10 +443,11 @@ class TestClusterCommand:
     def test_planted_fixture(self, cliques_cache, tmp_path):
         report = tmp_path / "r.json"
         out = tmp_path / "set.txt"
+        csv = tmp_path / "sweep.csv"
         rc = run_cli("cluster", "--graph", cliques_cache, "--seed-vertex", 1,
                      "--alpha", 0.1, "--target-volume", 211,
                      "--T", 32, "--M", 20000, "--seed", 4,
-                     "--out", out, "--report", report)
+                     "--out", out, "--csv", csv, "--report", report)
         assert rc == 0
         data = json.loads(report.read_text())
         assert set(data["cut"]) == set(range(15))
@@ -397,6 +458,10 @@ class TestClusterCommand:
                                       "best_set", "phi", "phi_exact"}
         assert data["phi"] == pytest.approx(1 / 211)
         assert data["bound"] > data["phi"]
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "prefix,vertex,phi"
+        assert len(lines) == 1 + len(data["sweep"]["ordering"])
+        assert "params" not in data     # cluster runs fixed desk parameters
 
     def test_teleport_dominated_flag(self, cliques_cache, tmp_path):
         report = tmp_path / "r.json"
@@ -412,15 +477,23 @@ class TestCompareBaseline:
         cache = tmp_path / "g.lwg"
         save_cache(gnp(500, 0.02, seed=3), str(cache))
         report = tmp_path / "r.json"
+        csv = tmp_path / "cmp.csv"
         rc = run_cli("compare-baseline", "--graph", cache, "--root", 0,
                      "--length", 4, "--target", 200, "--growth", 10,
                      "--theta", 3, "--b0", 1, "--tau", 1.5, "--seed", 7,
-                     "--report", report)
+                     "--csv", csv, "--report", report)
         assert rc == 0
         data = json.loads(report.read_text())
         assert data["budget_ratio"] > 1.0
         assert data["baseline"]["total_budget"] == \
             data["budget_ratio"] * data["local"]["total_budget"]
+        assert data["params"]["surplus"] == 1.5 and data["params"]["mode"] == "practical"
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "algorithm,total_budget,supersteps,rooted_ok"
+        local = data["local"]
+        assert lines[1:] == [
+            f"budgeted,{local['total_budget']},{local['supersteps']},{local['rooted_ok']}",
+            "uniform,{total_budget},{supersteps},{rooted_ok}".format(**data["baseline"])]
 
     def test_no_locality_advantage_ratio_near_one(self, tmp_path):
         # target close to b0 * deg(root) and growth so large that no
@@ -444,6 +517,10 @@ class TestOracleCheck:
         assert run_cli("oracle-check", "c8-walks") == 0
         assert "PASS" in capsys.readouterr().out
         assert run_cli("oracle-check", "ppr-k2") == 0
+        for name in ("k3-paths", "cliques-cut"):
+            capsys.readouterr()
+            assert run_cli("oracle-check", name) == 0
+            assert capsys.readouterr().out == f"{name:<14} PASS\n"
 
     def test_unknown_fixture_exit_2(self):
         assert run_cli("oracle-check", "nope") == 2

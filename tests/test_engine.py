@@ -34,6 +34,13 @@ class TestTheoryParams:
         assert round_length(5) == 8
         assert round_length(8) == 8
 
+    def test_length_limited_by_int16_labels(self):
+        assert desk_params(length=1 << 14, target=10).length == 1 << 14
+        with pytest.raises(ParameterError, match=r"exceeds 2\^14, as labels are int16"):
+            desk_params(length=(1 << 14) + 1, target=10)   # rounds up to 2^15
+        with pytest.raises(ParameterError, match="int16"):
+            theory_params(100, 1 << 15, 2.0, target=10)
+
     def test_growth_must_exceed_one(self):
         with pytest.raises(ParameterError):
             theory_params(100, 4, 1.0, target=10)
@@ -87,15 +94,15 @@ class TestBudgets:
         assert b[0, 0] == math.ceil(1.5)
         assert b[2].sum() == 0
 
-    def test_update_root_law(self):
+    def test_update_root_law(self, calibration):
         g = cycle_graph(8)
         p = desk_params(length=4, target=1000, growth=10.0, threshold=25.0,
                         base_budget=50.0, tau=1.5)
-        walks = run_budgeted(g, 0, p, seed=1, keep_history=True)
+        run_budgeted(g, 0, p, seed=1)
         b0_root = p.base_budget * g.degree(0)
-        for stats, table in zip(walks.cycle_stats[:-1], walks.budget_history[1:],
-                                strict=False):
-            lam_pow = growth_power(p.growth, stats.exponent_used)
+        assert calibration.updates
+        for _, exponent, table in calibration.updates:
+            lam_pow = growth_power(p.growth, exponent)
             assert table[0, 0] == math.ceil(b0_root + lam_pow)
 
     def test_update_arithmetic_example(self):
@@ -379,12 +386,12 @@ class TestRunBudgeted:
             assert run.metrics.supersteps == (calib + 1) * 2 * phases + calib
             assert run.metrics.paper_rounds == (calib + 1) * phases + calib
 
-    def test_memory_accounting_matches_recount(self):
+    def test_memory_accounting_matches_recount(self, calibration):
         g = cycle_graph(8)
         p = desk_params(length=4, target=100, growth=10.0, threshold=10.0,
                         base_budget=30.0)
-        run = run_budgeted(g, 0, p, seed=9, keep_history=True)
-        recount = [int(t.sum()) for t in run.budget_history]
+        run = run_budgeted(g, 0, p, seed=9)
+        recount = [int(t.sum()) for t in calibration.budgets]
         assert run.metrics.per_cycle_budget_totals == recount
         assert run.metrics.total_budget == sum(recount)
 
@@ -395,7 +402,7 @@ class TestRunBudgeted:
         r1 = run_budgeted(g, 2, p, seed=33)
         r2 = run_budgeted(g, 2, p, seed=33)
         assert np.array_equal(r1.walks, r2.walks)
-        assert r1.metrics.to_dict() == r2.metrics.to_dict()
+        assert r1.metrics == r2.metrics
         assert not np.array_equal(r1.walks, run_budgeted(g, 2, p, seed=34).walks)
 
     @pytest.fixture
@@ -596,6 +603,18 @@ class TestUniformStitching:
         res = uniform_stitching(path_graph(2), 3, 2, seed=0, tau=1.0)
         # B(v,k) = 3 for both vertices and both labels
         assert res.total_budget == 12
+
+    def test_length_one_returns_shuffled_single_steps(self):
+        # one level only: the final shuffle reorders the leaves themselves
+        g = cycle_graph(8)
+        uni = uniform_stitching(g, 2, 1, seed=3, tau=1.0)
+        res = uni.result
+        assert res.levels == [] and not res.failed
+        assert res.verts.shape == (32, 2)          # budget 2 * degree 2 on 8 vertices
+        assert np.array_equal(res.verts[:, 0], res.starts)
+        assert np.any(np.diff(res.starts) < 0)     # no longer grouped by start
+        assert validate_walks(g, res.verts, lazy=False)
+        assert np.array_equal(uni.ok_per_vertex, np.full(8, 4))
 
     def test_walks_from_all_vertices(self):
         g = cycle_graph(8)
