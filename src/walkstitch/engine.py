@@ -33,6 +33,7 @@ walks. A run is therefore replayable from its seed.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -45,6 +46,8 @@ from .mpc import Cluster, KIND_REPLY, KIND_REQUEST, KIND_UPDATE, RoundLedger
 from .rng import INIT_STREAM, SERVE_STREAM, SHUFFLE_STREAM, derive_key, substream
 
 _ENGINE_NS = 0x10  # namespace tag folded into every engine substream key
+_CHUNK = 1 << 18   # segments per slice of init_walks' draws
+_STITCH_BYTES = 30  # resident bytes a segment at the peak of one stitch call
 
 LAZINESS = ("none", "half")
 MODES = ("theory", "practical")
@@ -260,6 +263,14 @@ def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
     first step label of every segment, grouped by start vertex, then label.
     With laziness="half" each segment is, independently with probability 1/2,
     the self-step (v, v) instead of a uniform neighbor step.
+
+    These three arrays take 10 bytes a segment, and the stitch that follows
+    about _STITCH_BYTES in all; a run whose segments would need more than
+    physical memory at that rate raises EngineError before anything is
+    allocated. The neighbor picks, then the lazy coins, are drawn in slices
+    of _CHUNK segments of this order, so every other temporary is
+    O(_CHUNK); the slices draw exactly the streams of one call over all
+    segments.
     """
     if budgets.shape != (g.n, params.length):
         raise EngineError("budget array shape does not match graph/params")
@@ -270,16 +281,32 @@ def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
     total = int(per_vertex.sum())
     if total > np.iinfo(np.int32).max:
         raise EngineError(f"{total} segments exceed the int32 segment index")
+    need = total * _STITCH_BYTES
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise EngineError(f"{total} segments need {need} bytes, more than the "
+                          f"{memory} bytes of physical memory")
     labels = np.repeat(
         np.tile(np.arange(1, params.length + 1, dtype=np.int16), g.n), budgets.ravel())
     starts = np.repeat(np.arange(g.n, dtype=np.int32), per_vertex)
+    ends = np.empty(total, dtype=np.int32)
+    neighbors = g.neighbors.astype(np.int32)
     gen = substream(master_seed, INIT_STREAM, cycle)
-    picks = gen.integers(0, np.repeat(g.degrees, per_vertex))
-    picks += np.repeat(g.offsets[:-1], per_vertex)
-    ends = g.neighbors[picks].astype(np.int32)
-    del picks
+    # the generator keeps the unused half of a 64-bit draw across calls, and
+    # a bound of 1 draws nothing, so slice by slice the picks are the ones a
+    # single call would draw; every pick is drawn before the first coin
+    for a in range(0, total, _CHUNK):
+        v = starts[a:a + _CHUNK]
+        # the slice holds the runs of vertices v[0]..v[-1], the end ones cut
+        lo, hi = int(v[0]), int(v[-1]) + 1
+        counts = np.diff(np.searchsorted(v, np.arange(lo, hi + 1, dtype=np.int32)))
+        picks = gen.integers(0, np.repeat(g.degrees[lo:hi], counts))
+        picks += np.repeat(g.offsets[lo:hi], counts)
+        ends[a:a + _CHUNK] = neighbors[picks]
     if params.lazy:
-        ends = np.where(gen.random(total) < 0.5, starts, ends)
+        for a in range(0, total, _CHUNK):
+            stay = gen.random(min(_CHUNK, total - a)) < 0.5
+            np.copyto(ends[a:a + _CHUNK], starts[a:a + _CHUNK], where=stay)
     return starts, ends, labels
 
 
@@ -301,30 +328,37 @@ class StitchResult:
     vertices). `failed_chunks` builds their prefixes. Counts are not kept
     here: vertex v started budgets[v, 0] label-1 walks, and the rounds are
     in the cluster's ledger.
+
+    Every array here is int32, and so are the ids and walks built from it.
     """
 
     leaf_start: np.ndarray            # (S,) int32
     leaf_end: np.ndarray              # (S,) int32
     levels: List[Tuple[np.ndarray, np.ndarray]]   # per phase, int32 child ids
-    starts: np.ndarray                # (K,) start vertex of each finished walk
+    starts: np.ndarray                # (K,) int32 start vertex of each finished walk
     failed: List[Tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
 
     def leaf_ids(self, rows: np.ndarray, level: int | None = None) -> np.ndarray:
         """Leaf segment ids under segments `rows` of `level` (default: the
-        finished walks), left to right: shape (len(rows), 2**level). One
-        vectorised gather per level."""
+        finished walks), left to right: int32, shape (len(rows), 2**level).
+        One vectorised gather per level."""
         level = len(self.levels) if level is None else level
-        ids = np.asarray(rows, dtype=np.int64)[:, None]
+        ids = np.asarray(rows, dtype=np.int32)[:, None]
         for left, right in reversed(self.levels[:level]):
-            ids = np.stack([left[ids], right[ids]], axis=2).reshape(
-                ids.shape[0], 2 * ids.shape[1])
+            below = np.empty((ids.shape[0], 2 * ids.shape[1]), dtype=np.int32)
+            below[:, 0::2] = left[ids]
+            below[:, 1::2] = right[ids]
+            ids = below
         return ids
 
     def walks(self, rows: np.ndarray, level: int | None = None) -> np.ndarray:
         """Vertex sequences of segments `rows` of `level` (default: the
-        finished walks), shape (len(rows), 2**level + 1)."""
+        finished walks): int32, shape (len(rows), 2**level + 1)."""
         ids = self.leaf_ids(rows, level)
-        return np.concatenate([self.leaf_start[ids], self.leaf_end[ids[:, -1:]]], axis=1)
+        out = np.empty((ids.shape[0], ids.shape[1] + 1), dtype=np.int32)
+        out[:, :-1] = self.leaf_start[ids]
+        out[:, -1] = self.leaf_end[ids[:, -1]]
+        return out
 
     @cached_property
     def verts(self) -> np.ndarray:
@@ -348,8 +382,9 @@ class StitchResult:
 
 def _group_by_key(key: np.ndarray, n_keys: int,
                   gen: np.random.Generator | None) -> np.ndarray:
-    """Positions of key, stably grouped by key; with gen, in a uniform order
-    inside each key.
+    """Positions of key as int32, stably grouped by key; with gen, in a
+    uniform order inside each key (gen.shuffle of an int32 arange, the
+    permutation gen.permutation draws).
 
     Keys below n_keys are sorted a 16-bit digit at a time, lowest first:
     numpy's stable argsort of a 16-bit type is a radix sort, much faster
@@ -357,11 +392,14 @@ def _group_by_key(key: np.ndarray, n_keys: int,
     """
     if n_keys <= 1 << 16:
         key = key.astype(np.uint16)
-    order = None if gen is None else gen.permutation(key.size)
+    order = None
+    if gen is not None:
+        order = np.arange(key.size, dtype=np.int32)
+        gen.shuffle(order)
     for shift in range(0, max(1, (n_keys - 1).bit_length()), 16):
         digit = (key if order is None else key[order]) >> shift
         step = np.argsort(digit.astype(np.uint16, copy=False), kind="stable")
-        order = step if order is None else order[step]
+        order = step.astype(np.int32) if order is None else order[step]
     return order
 
 
@@ -387,6 +425,12 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
     the phase draw its substream, to shuffle the requests inside each key.
     The unserved walks are dropped, and logged if they carry label 1.
 
+    Every index is int32, as a level holds fewer than 2^31 segments. In
+    practical mode a vertex's stock count comes from binary searches over
+    the start-sorted level; theory mode counts its int64 (vertex, label)
+    keys. One call peaks at about 22-28 traced bytes a segment, level 0's
+    10 included, and about _STITCH_BYTES resident.
+
     Each phase costs two supersteps (requests, then replies). Message words:
     a request is 3 words; a reply for a length-s segment is s+4 words (s+1
     vertices, first label, cycle tag, requester segment id). The reply size
@@ -405,25 +449,29 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
     for phase in range(1, phases + 1):
         s = 1 << (phase - 1)
         two_s = 2 * s
-        lab_mod = labels & (two_s - 1)
-        req_idx = np.flatnonzero(lab_mod == 1)
-        srv_idx = np.flatnonzero(lab_mod == (s + 1) % two_s)
-        # temporaries are dropped as soon as they are used: with full rows
-        # gone, they set the peak memory of a phase
-        del lab_mod
+        # temporaries are dropped as soon as they are used: they set the
+        # peak memory of a phase. np.take gathers through a full intp copy
+        # of its int32 indices, which is faster than a[idx] but 8 bytes an
+        # index larger, so it is used only where the phase is far from its
+        # peak (before grouping and after serving)
+        req_idx = np.flatnonzero((labels & (two_s - 1)) == 1).astype(np.int32)
+        srv_idx = np.flatnonzero((labels & (two_s - 1)) == (s + 1) % two_s).astype(np.int32)
 
-        dest = end[req_idx].astype(np.int64)
+        dest = np.take(end, req_idx)
         cluster.exchange_bulk(dest, words=3, kind=KIND_REQUEST)
         if theory:
-            req_key = dest * key_span + (labels[req_idx].astype(np.int64) + s)
+            req_key = dest.astype(np.int64) * key_span + (labels[req_idx].astype(np.int64) + s)
             srv_key = start[srv_idx].astype(np.int64) * key_span + labels[srv_idx]
+            scount = np.bincount(srv_key, minlength=n_keys)
+            del srv_key
         else:
             req_key = dest
-            srv_key = start[srv_idx].astype(np.int64)
+            # the level lies in start order, so each vertex's stock is one
+            # run of srv_idx, found by binary search on the run bounds
+            bounds = np.searchsorted(start, np.arange(g.n + 1, dtype=np.int32))
+            scount = np.diff(np.searchsorted(srv_idx, bounds.astype(np.int32)))
         del dest
         rcount = np.bincount(req_key, minlength=n_keys)
-        scount = np.bincount(srv_key, minlength=n_keys)
-        del srv_key
         short = np.flatnonzero(rcount > scount)
         if short.size and params.fail_policy == "abort":
             key = int(short[0])
@@ -441,16 +489,19 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
         # srv_of holds each request's server in requester order, -1 if unserved
         rfirst = np.cumsum(rcount) - rcount
         sfirst = np.cumsum(scount) - scount
-        srv_pos = np.arange(order.size) + np.repeat(sfirst - rfirst, rcount)
+        # requests and stock are disjoint parts of the level, so every
+        # position fits in int32
+        srv_pos = np.repeat((sfirst - rfirst).astype(np.int32), rcount)
+        srv_pos += np.arange(order.size, dtype=np.int32)
         if short.size:
-            ok = srv_pos < np.repeat(sfirst + scount, rcount)
+            ok = srv_pos < np.repeat((sfirst + scount).astype(np.int32), rcount)
             srv_of = np.full(req_idx.size, -1, dtype=np.int32)
             srv_of[order[ok]] = srv_idx[srv_pos[ok]]
             served = srv_of >= 0
             failed_req = req_idx[~served]
             first_label = failed_req[labels[failed_req] == 1]
             if first_label.size:
-                failed.append((phase, first_label.astype(np.int32), start[first_label]))
+                failed.append((phase, first_label, start[first_label]))
             served_req, served_srv = req_idx[served], srv_of[served]
         else:
             srv_of = np.empty(req_idx.size, dtype=np.int32)
@@ -458,13 +509,13 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
             served_req, served_srv = req_idx, srv_of
         del order, srv_pos, srv_idx, req_idx
 
-        assert np.array_equal(end[served_req], start[served_srv])
+        assert np.array_equal(np.take(end, served_req), np.take(start, served_srv))
         if theory:
             assert np.array_equal(labels[served_req] + s, labels[served_srv])
-        start, end = start[served_req], end[served_srv]
+        start, end = np.take(start, served_req), np.take(end, served_srv)
         cluster.exchange_bulk(start, words=s + 4, kind=KIND_REPLY)
-        labels = labels[served_req]
-        levels.append((served_req.astype(np.int32), served_srv))
+        labels = np.take(labels, served_req)
+        levels.append((served_req, served_srv))
 
     assert np.all(labels == 1)
     return StitchResult(leaf_start=leaf_start, leaf_end=leaf_end, levels=levels,

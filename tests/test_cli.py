@@ -218,6 +218,17 @@ class TestWalks:
         assert err.startswith("fail: ") and "segments exceed the int32 segment index" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_physical_memory_limit_exit_1(self, c4_file, monkeypatch, capsys):
+        # a host of 4096 bytes: the run is refused before allocating
+        pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(engine.os, "sysconf", pages.__getitem__)
+        rc = run_cli("walks", "--graph", c4_file, "--root", 0, "--length", 4, "--seed", 1)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fail: ") and err.endswith(
+            "bytes, more than the 4096 bytes of physical memory\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_out_of_memory_exit_1(self, path_graph_file, monkeypatch, capsys):
         def no_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.00 GiB for an array")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from walkstitch.engine import (ParameterError, StitchFailure,
 from walkstitch.fixtures import (complete_graph, cycle_graph, gnp, path_graph,
                                  star_graph, two_cliques)
 from walkstitch.mpc import Cluster
-from walkstitch.rng import substream
+from walkstitch.rng import INIT_STREAM, substream
 
 # chi-square 0.999 quantiles by degrees of freedom
 CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 54: 91.87, 255: 330.52}
@@ -192,6 +193,51 @@ class TestInitWalks:
         with pytest.raises(Exception, match="isolated"):
             init_walks(g, b, p, master_seed=0)
 
+    @pytest.mark.parametrize("laziness", ["none", "half"])
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_slices_draw_the_one_call_streams(self, monkeypatch, chunk, laziness):
+        # the center (degree 5) has a run of 150 segments, which spans
+        # several slices; the leaves have degree 1 and draw nothing
+        g = star_graph(5)
+        p = desk_params(length=2, target=1, tau=1.0, laziness=laziness)
+        b = np.array([[100, 50], [3, 0], [0, 2], [1, 1], [0, 0], [4, 0]], dtype=np.int64)
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        got = init_walks(g, b, p, master_seed=9, cycle=2)
+        for arr, ref in zip(got, one_call_init_walks(g, b, p, master_seed=9, cycle=2)):
+            assert arr.dtype == ref.dtype
+            assert np.array_equal(arr, ref)
+
+    def test_physical_memory_checked_before_allocating(self, monkeypatch):
+        # level 0's 800 000 bytes would fit in 400 pages; the whole stitch,
+        # at 30 bytes a segment, fits in 600 but not in 400
+        pages = {"SC_PHYS_PAGES": 400, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(engine.os, "sysconf", pages.__getitem__)
+        g = cycle_graph(4)
+        p = desk_params(length=2, target=1, tau=1.0)
+        b = np.full((4, 2), 10_000, dtype=np.int64)
+        with pytest.raises(engine.EngineError,
+                           match="80000 segments need 2400000 bytes, more than the "
+                                 "1638400 bytes of physical memory"):
+            init_walks(g, b, p, master_seed=0)
+        pages["SC_PHYS_PAGES"] = 600
+        assert init_walks(g, b, p, master_seed=0)[0].size == 80_000
+
+
+def one_call_init_walks(g, budgets, params, master_seed, cycle):
+    """Level 0 drawn by one call over all segments: the picks, then the lazy
+    coins. init_walks' slices must reproduce these streams exactly."""
+    per_vertex = budgets.sum(axis=1)
+    labels = np.repeat(
+        np.tile(np.arange(1, params.length + 1, dtype=np.int16), g.n), budgets.ravel())
+    starts = np.repeat(np.arange(g.n, dtype=np.int32), per_vertex)
+    gen = substream(master_seed, INIT_STREAM, cycle)
+    picks = gen.integers(0, np.repeat(g.degrees, per_vertex))
+    picks += np.repeat(g.offsets[:-1], per_vertex)
+    ends = g.neighbors[picks].astype(np.int32)
+    if params.lazy:
+        ends = np.where(gen.random(starts.size) < 0.5, starts, ends)
+    return starts, ends, labels
+
 
 class TestStitch:
     def test_k2_forced_walk(self):
@@ -259,6 +305,48 @@ class TestStitch:
         share = np.bincount(res.starts, minlength=5)[1:] / 2500
         assert sum(req.size for req, _ in res.levels) == 5000
         assert np.all(np.abs(share - 0.5) <= 0.04)
+
+    @pytest.mark.parametrize("mode", ["practical", "theory"])
+    def test_index_tree_and_walks_are_int32(self, mode):
+        g = cycle_graph(8)
+        p = desk_params(length=8, target=1, base_budget=20.0, tau=1.01, mode=mode)
+        res = stitch(g, initial_budgets(g, p), p, Cluster(), master_seed=3)
+        assert res.failed  # stocks run short: the failed prefixes are built too
+        rows = np.arange(res.starts.size)
+        arrays = [a for pair in res.levels for a in pair] + [
+            res.starts, res.leaf_ids(rows), res.leaf_ids(rows[:5], 0), res.leaf_ids(rows[:5], 1),
+            res.walks(rows), res.walks(rows[:5], 2), res.verts]
+        arrays += [a for _, ids, starts in res.failed for a in (ids, starts)]
+        arrays += [chunk for _, chunk in res.failed_chunks]
+        assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)
+
+
+class TestWorkingSet:
+    """The traced peak of one stitch call, in bytes a segment: level 0 alone
+    takes 10, and the index tree, the next level and each phase's int32
+    temporaries the rest."""
+
+    @pytest.mark.parametrize("graph, params, bound", [
+        (two_cliques(17), desk_params(length=64, target=1, base_budget=7.0, tau=1.15,
+                                      laziness="half"), 25.0),
+        (gnp(300, 0.1, seed=3), desk_params(length=4, target=1, base_budget=4.0,
+                                            tau=1.0), 30.0),
+        (cycle_graph(8), desk_params(length=8, target=1, base_budget=2.0, tau=1.5,
+                                     mode="theory"), 28.0),
+    ], ids=["cliques-L64-lazy", "gnp-L4-short", "c8-L8-theory"])
+    def test_peak_bytes_per_segment(self, graph, params, bound):
+        budgets = initial_budgets(graph, params)
+        segments = int(budgets.sum())
+        assert segments > 100_000  # fixed costs are noise at this size
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = stitch(graph, budgets, params, Cluster(), master_seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert bool(res.failed) == (params.surplus == 1.0)
+        assert peak / segments <= bound
 
 
 class TestGroupByKey:
