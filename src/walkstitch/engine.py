@@ -25,9 +25,9 @@ on where its segments go, and is served as it lies.
 
 Randomness comes from one substream per purpose and step, keyed by the run
 seed: one per cycle draws every length-1 segment, one per (cycle, phase)
-picks which requests are served in a phase where some key's stock runs
-short (and is not drawn in any other phase), and one shuffles the returned
-walks. A run is therefore replayable from its seed.
+draws which requests of the short keys fail in a phase where some key's
+stock runs short (and is not drawn in any other phase), and one shuffles
+the returned walks. A run is therefore replayable from its seed.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .mpc import Cluster, KIND_REPLY, KIND_REQUEST, KIND_UPDATE, RoundLedger
 from .rng import INIT_STREAM, SERVE_STREAM, SHUFFLE_STREAM, derive_key, substream
 
 _ENGINE_NS = 0x10  # namespace tag folded into every engine substream key
-_CHUNK = 1 << 18   # segments per slice of init_walks' draws
+_CHUNK = 1 << 18   # segments per slice of init_walks' draws and of walk assembly
 _STITCH_BYTES = 30  # resident bytes a segment at the peak of one stitch call
 
 LAZINESS = ("none", "half")
@@ -353,11 +353,17 @@ class StitchResult:
 
     def walks(self, rows: np.ndarray, level: int | None = None) -> np.ndarray:
         """Vertex sequences of segments `rows` of `level` (default: the
-        finished walks): int32, shape (len(rows), 2**level + 1)."""
-        ids = self.leaf_ids(rows, level)
-        out = np.empty((ids.shape[0], ids.shape[1] + 1), dtype=np.int32)
-        out[:, :-1] = self.leaf_start[ids]
-        out[:, -1] = self.leaf_end[ids[:, -1]]
+        finished walks): int32, shape (len(rows), 2**level + 1). The rows
+        are built in slices of about _CHUNK leaves, so the leaf ids and
+        gathers beside the output stay O(_CHUNK)."""
+        level = len(self.levels) if level is None else level
+        rows = np.asarray(rows)
+        out = np.empty((rows.size, (1 << level) + 1), dtype=np.int32)
+        step = max(1, _CHUNK >> level)
+        for a in range(0, rows.size, step):
+            ids = self.leaf_ids(rows[a:a + step], level)
+            out[a:a + step, :-1] = self.leaf_start[ids]
+            out[a:a + step, -1] = self.leaf_end[ids[:, -1]]
         return out
 
     @cached_property
@@ -380,11 +386,9 @@ class StitchResult:
         self.__dict__.pop("verts", None)
 
 
-def _group_by_key(key: np.ndarray, n_keys: int,
-                  gen: np.random.Generator | None) -> np.ndarray:
-    """Positions of key as int32, stably grouped by key; with gen, in a
-    uniform order inside each key (gen.shuffle of an int32 arange, the
-    permutation gen.permutation draws).
+def _group_by_key(key: np.ndarray, n_keys: int) -> np.ndarray:
+    """Positions of key as int32, stably grouped by key: positions with
+    equal keys keep their order.
 
     Keys below n_keys are sorted a 16-bit digit at a time, lowest first:
     numpy's stable argsort of a 16-bit type is a radix sort, much faster
@@ -393,14 +397,41 @@ def _group_by_key(key: np.ndarray, n_keys: int,
     if n_keys <= 1 << 16:
         key = key.astype(np.uint16)
     order = None
-    if gen is not None:
-        order = np.arange(key.size, dtype=np.int32)
-        gen.shuffle(order)
     for shift in range(0, max(1, (n_keys - 1).bit_length()), 16):
         digit = (key if order is None else key[order]) >> shift
         step = np.argsort(digit.astype(np.uint16, copy=False), kind="stable")
         order = step.astype(np.int32) if order is None else order[step]
     return order
+
+
+def _draw_failures(short: np.ndarray, rcount: np.ndarray, scount: np.ndarray,
+                   gen: np.random.Generator) -> np.ndarray:
+    """Which requests go unserved, as a bool mask over the requests grouped
+    by key (key k's rcount[k] requests in a row, keys in increasing order).
+
+    In each key of `short` exactly rcount - scount requests fail, a uniform
+    subset of them; no other key loses any. Per key the smaller side, failed
+    or served, is drawn as distinct uniform ranks: gen.integers draws them,
+    and duplicates are drawn again until every key has its count. Every step
+    treats all ranks of a key alike, so the law of the drawn set is the same
+    under any relabelling of the ranks: it is exactly uniform. The draws
+    number sum(min(r - c, c)) plus the redraws, not one per request.
+    """
+    first = (np.cumsum(rcount) - rcount)[short]
+    r, c = rcount[short], scount[short]
+    flip = c < r - c   # draw the served ranks; the rest fail
+    need = np.where(flip, c, r - c)
+    drawn = np.zeros(int(rcount.sum()), dtype=bool)
+    while need.any():
+        pos = np.unique(np.repeat(first, need) + gen.integers(0, np.repeat(r, need)))
+        pos = pos[~drawn[pos]]
+        drawn[pos] = True
+        need -= np.bincount(np.searchsorted(first, pos, side="right") - 1,
+                            minlength=short.size)
+    flipped = np.zeros(rcount.size, dtype=bool)
+    flipped[short[flip]] = True
+    drawn ^= np.repeat(flipped, rcount)
+    return drawn
 
 
 def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster,
@@ -422,13 +453,15 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
     the next level, recorded as a pair of child indices. When a key's stock
     is short, fail_policy decides between aborting the run (on the smallest
     short key) and serving a uniform subset of its requests: only then does
-    the phase draw its substream, to shuffle the requests inside each key.
-    The unserved walks are dropped, and logged if they carry label 1.
+    the phase draw its substream, to pick which requests of each short key
+    fail (_draw_failures). The failed requests are dropped from the key,
+    and the rest are served by rank as in a key with stock to spare. The
+    unserved walks are logged if they carry label 1.
 
     Every index is int32, as a level holds fewer than 2^31 segments. In
     practical mode a vertex's stock count comes from binary searches over
     the start-sorted level; theory mode counts its int64 (vertex, label)
-    keys. One call peaks at about 22-28 traced bytes a segment, level 0's
+    keys. One call peaks at about 22-27 traced bytes a segment, level 0's
     10 included, and about _STITCH_BYTES resident.
 
     Each phase costs two supersteps (requests, then replies). Message words:
@@ -479,35 +512,38 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
             raise StitchFailure(z, needed, phase, int(rcount[key] - scount[key]), cycle)
 
         # the level's (start, label) order leaves srv_idx grouped by key as
-        # it is; requests are grouped by key, and shuffled inside each key
-        # only when a short key leaves some of them unserved
-        gen = substream(master_seed, SERVE_STREAM, cycle, phase) if short.size else None
-        order = _group_by_key(req_key, n_keys, gen)
+        # it is, and requests are grouped by key in requester order; a short
+        # key drops a uniform subset of its requests, and the rest are served
+        order = _group_by_key(req_key, n_keys)
         del req_key
+        lost = None   # requester positions left unserved, in requester order
+        if short.size:
+            fail = _draw_failures(short, rcount, scount,
+                                  substream(master_seed, SERVE_STREAM, cycle, phase))
+            lost = np.sort(order[fail])
+            order = order[~fail]
+            rcount = np.minimum(rcount, scount)
+            del fail
+            failed_req = req_idx[lost]
+            first_label = failed_req[labels[failed_req] == 1]
+            if first_label.size:
+                failed.append((phase, first_label, start[first_label]))
 
-        # the request of rank r in key k gets server sfirst[k] + r, if r < scount[k];
-        # srv_of holds each request's server in requester order, -1 if unserved
+        # the served request of rank r in key k gets server sfirst[k] + r;
+        # srv_of holds each request's server in requester order
         rfirst = np.cumsum(rcount) - rcount
         sfirst = np.cumsum(scount) - scount
         # requests and stock are disjoint parts of the level, so every
         # position fits in int32
         srv_pos = np.repeat((sfirst - rfirst).astype(np.int32), rcount)
         srv_pos += np.arange(order.size, dtype=np.int32)
-        if short.size:
-            ok = srv_pos < np.repeat((sfirst + scount).astype(np.int32), rcount)
-            srv_of = np.full(req_idx.size, -1, dtype=np.int32)
-            srv_of[order[ok]] = srv_idx[srv_pos[ok]]
-            served = srv_of >= 0
-            failed_req = req_idx[~served]
-            first_label = failed_req[labels[failed_req] == 1]
-            if first_label.size:
-                failed.append((phase, first_label, start[first_label]))
-            served_req, served_srv = req_idx[served], srv_of[served]
-        else:
-            srv_of = np.empty(req_idx.size, dtype=np.int32)
-            srv_of[order] = srv_idx[srv_pos]
-            served_req, served_srv = req_idx, srv_of
-        del order, srv_pos, srv_idx, req_idx
+        srv_of = np.empty(req_idx.size, dtype=np.int32)
+        srv_of[order] = srv_idx[srv_pos]
+        del order, srv_pos, srv_idx
+        served_req, served_srv = req_idx, srv_of
+        if lost is not None:
+            served_req, served_srv = np.delete(req_idx, lost), np.delete(srv_of, lost)
+        del req_idx, srv_of
 
         assert np.array_equal(np.take(end, served_req), np.take(start, served_srv))
         if theory:

@@ -127,8 +127,11 @@ class Cluster:
         elif self.cfg.num_machines == 1:
             max_per_machine = total_words
         else:
-            loads = np.bincount(self.assign_machines(dest),
-                                minlength=self.cfg.num_machines) * int(words)
+            # hash each receiving vertex once, not each message
+            per_vertex = np.bincount(dest)
+            hit = np.flatnonzero(per_vertex)
+            loads = np.bincount(self.assign_machines(hit), weights=per_vertex[hit],
+                                minlength=self.cfg.num_machines).astype(np.int64) * int(words)
             max_per_machine = int(loads.max())
 
         round_index = self.ledger.superstep_count

@@ -18,7 +18,8 @@ from walkstitch.mpc import Cluster
 from walkstitch.rng import INIT_STREAM, substream
 
 # chi-square 0.999 quantiles by degrees of freedom
-CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 54: 91.87, 255: 330.52}
+CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515, 14: 36.123,
+            54: 91.87, 255: 330.52}
 
 
 class TestTheoryParams:
@@ -320,6 +321,33 @@ class TestStitch:
         arrays += [chunk for _, chunk in res.failed_chunks]
         assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)
 
+    @pytest.mark.parametrize("chunk", [1, 8, 64])
+    def test_walk_slices_match_one_call(self, monkeypatch, chunk):
+        g = cycle_graph(8)
+        p = desk_params(length=8, target=1, base_budget=20.0, tau=1.01)
+        res = stitch(g, initial_budgets(g, p), p, Cluster(), master_seed=3)
+        assert len(res.levels) == 3
+        rng = np.random.default_rng(chunk)
+        cases = []
+        for level in (0, 1, 3):
+            size = res.levels[level - 1][0].size if level else res.leaf_start.size
+            rows = rng.permutation(size)[: size // 2]
+            cases.append((rows, level, one_call_walks(res, rows, level)))
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        for rows, level, ref in cases:
+            assert rows.size > chunk
+            assert np.array_equal(res.walks(rows, level), ref)
+
+
+def one_call_walks(res, rows, level):
+    """Segments `rows` of `level` built from one leaf_ids call over all rows:
+    the walks StitchResult.walks must return slice by slice."""
+    ids = res.leaf_ids(rows, level)
+    out = np.empty((ids.shape[0], ids.shape[1] + 1), dtype=np.int32)
+    out[:, :-1] = res.leaf_start[ids]
+    out[:, -1] = res.leaf_end[ids[:, -1]]
+    return out
+
 
 class TestWorkingSet:
     """The traced peak of one stitch call, in bytes a segment: level 0 alone
@@ -357,11 +385,45 @@ class TestGroupByKey:
         rng = np.random.default_rng(n_keys)
         key = rng.integers(0, n_keys, size=5000)
         key[0] = n_keys - 1  # the largest key needs every digit
-        got = engine._group_by_key(key, n_keys, None)
+        got = engine._group_by_key(key, n_keys)
         assert np.array_equal(got, np.argsort(key, kind="stable"))
-        got = engine._group_by_key(key, n_keys, np.random.default_rng(1))
-        perm = np.random.default_rng(1).permutation(5000)
-        assert np.array_equal(got, perm[np.argsort(key[perm], kind="stable")])
+
+
+class TestDrawFailures:
+    """Each short key loses exactly r - c of its r requests, a uniform
+    subset of them, and no other key loses any."""
+
+    def test_short_keys_lose_their_deficit(self):
+        rng = np.random.default_rng(4)
+        rcount = rng.integers(0, 12, size=2000)
+        scount = rng.integers(0, 12, size=2000)
+        short = np.flatnonzero(rcount > scount)
+        fail = engine._draw_failures(short, rcount, scount, np.random.default_rng(5))
+        assert fail.dtype == bool and fail.size == rcount.sum()
+        key = np.repeat(np.arange(2000), rcount)
+        lost = np.bincount(key[fail], minlength=2000)
+        assert np.array_equal(lost, np.maximum(rcount - scount, 0))
+
+    @pytest.mark.parametrize("r, c", [(4, 2), (5, 1), (6, 4), (3, 0)])
+    def test_failed_subsets_uniform(self, r, c):
+        # (5, 1) and (3, 0) draw the served side, (4, 2) redraws duplicates
+        # often; the short keys alternate with keys that have stock to spare
+        keys, calls = 10_000, 20
+        rcount = np.tile([r, 3], keys)
+        scount = np.tile([c, 5], keys)
+        short = np.flatnonzero(rcount > scount)
+        gen = np.random.default_rng(r * 10 + c)
+        tally = np.zeros(1 << r, dtype=np.int64)
+        for _ in range(calls):
+            fail = engine._draw_failures(short, rcount, scount, gen).reshape(keys, r + 3)
+            assert not fail[:, r:].any()
+            tally += np.bincount(fail[:, :r] @ (1 << np.arange(r)), minlength=1 << r)
+        subsets = [code for code in range(1 << r) if code.bit_count() == r - c]
+        assert tally[subsets].sum() == keys * calls
+        expected = keys * calls / len(subsets)
+        chi2 = float(((tally[subsets] - expected) ** 2 / expected).sum())
+        if len(subsets) > 1:
+            assert chi2 < CHI2_999[len(subsets) - 1]
 
 
 def all_leaf_ids(res) -> np.ndarray:

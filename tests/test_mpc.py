@@ -69,6 +69,28 @@ class TestExchange:
         assert loads.sum() == 300 * 7
         assert rec.max_words_per_machine == int(loads.max())
 
+    @pytest.mark.parametrize("machines", [2, 7, 64])
+    def test_loads_match_per_message_hashing(self, machines):
+        # capacity is twice a 1-word round's mean load: the 3- and 5-word
+        # rounds overflow
+        capacity = 2 * 2000 // machines
+        c = Cluster(ClusterConfig(num_machines=machines, machine_capacity=capacity))
+        rng = np.random.Generator(np.random.PCG64(machines))
+        rounds, violations = [], []
+        for i, (words, dtype) in enumerate([(1, np.int64), (3, np.int32), (5, np.int64)]):
+            dest = rng.integers(0, 500, size=2000).astype(dtype)
+            c.exchange_bulk(dest, words)
+            loads = np.bincount(c.assign_machines(dest), minlength=machines) * words
+            rounds.append(RoundRecord(kind="message", messages_sent=2000,
+                                      total_words=2000 * words,
+                                      max_words_per_machine=int(loads.max())))
+            if loads.max() > capacity:
+                violations.append({"round": i, "machine": int(np.argmax(loads)),
+                                   "words": int(loads.max())})
+        assert c.ledger.rounds == rounds
+        assert c.ledger.violations == violations
+        assert [v["round"] for v in violations] == [1, 2]
+
     def test_superstep_monotonic(self):
         c = Cluster()
         for i in range(5):
