@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .graph import (Graph, GraphError, EdgeListParseError,
                     UndefinedConductanceError, load_edge_list, load_cache,
                     save_cache, volume, boundary_size, conductance)
-from .mpc import (Cluster, ClusterConfig, CapacityError, assign_machine)
+from .mpc import Cluster, ClusterConfig, CapacityError
 from .engine import (StitchParams, StitchFailure,
                      EngineError, ParameterError, theory_params, desk_params,
                      initial_budgets, init_walks, stitch, update_budgets,

@@ -13,7 +13,8 @@ fewer usable walks than --M, a failing oracle check, budgets whose segments
 do not fit in memory or in int32 indices); 2 usage or parse error
 (bad flag or config line; --root or --seed-vertex outside the graph; length
 above 2^14; malformed, non-UTF-8 or missing input file, or a vertex twice in
-a budget file; corrupt graph cache); 3 capacity violation in strict mode.
+a budget file; a graph cache that is truncated, corrupt, or has unsorted,
+duplicate, self-loop or one-way adjacency); 3 capacity violation in strict mode.
 """
 
 from __future__ import annotations
@@ -120,6 +121,13 @@ def resolved_config(args: argparse.Namespace) -> Dict[str, object]:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _json_fraction(obj: object) -> List[int]:
+    """A Fraction as [numerator, denominator]; json.dumps rejects anything else."""
+    if isinstance(obj, Fraction):
+        return [obj.numerator, obj.denominator]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_report(path: str | None, payload: dict, args: argparse.Namespace,
                  wall_clock: float | None = None) -> dict:
     report = {
@@ -130,7 +138,7 @@ def write_report(path: str | None, payload: dict, args: argparse.Namespace,
     report.update(payload)
     if wall_clock is not None and getattr(args, "timings", False):
         report["wall_clock_sec"] = wall_clock
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, default=_json_fraction) + "\n"
     if path:
         with open(path, "w") as f:
             f.write(text)
@@ -388,8 +396,8 @@ def cmd_cluster(args) -> int:
         _write_csv(args.csv, "prefix,vertex,phi",
                    ((j, v, "" if phi is None else phi)
                     for j, (v, phi) in enumerate(
-                        zip(res.sweep.ordering, res.sweep.phis), start=1)))
-    write_report(args.report, res.to_dict(), args, wall)
+                        zip(res.sweep.ordering, res.sweep.phi_list), start=1)))
+    write_report(args.report, asdict(res), args, wall)
     return EXIT_OK
 
 

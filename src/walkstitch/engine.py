@@ -812,16 +812,12 @@ def uniform_stitching(g: Graph, b0_per_degree: float, length: int,
 
 
 def validate_walks(g: Graph, verts: np.ndarray, lazy: bool) -> bool:
-    """True iff every consecutive pair is an edge (or a self-step when lazy)."""
+    """True iff every consecutive pair of every row is an edge of g (see
+    Graph.has_edges) or, when lazy, a self-step at an id in [0, n)."""
     if verts.ndim != 2 or verts.shape[0] == 0:
         return True
-    a = verts[:, :-1].astype(np.int64).ravel()
-    b = verts[:, 1:].astype(np.int64).ravel()
-    edge_keys = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees) * g.n + g.neighbors
-    keys = a * g.n + b
-    pos = np.searchsorted(edge_keys, keys)
-    pos = np.minimum(pos, edge_keys.size - 1)
-    ok = edge_keys[pos] == keys
+    a, b = verts[:, :-1], verts[:, 1:]
+    ok = g.has_edges(a, b)
     if lazy:
-        ok |= a == b
+        ok |= (a == b) & (a >= 0) & (a < g.n)
     return bool(np.all(ok))

@@ -61,21 +61,45 @@ class Graph:
         """Vol(G) = sum of all degrees = 2m."""
         return 2 * self.m
 
+    def _edge_keys(self) -> np.ndarray:
+        """src * n + neighbor for every adjacency entry, in storage order."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        return src * self.n + self.neighbors
+
+    def has_edges(self, u, v) -> np.ndarray:
+        """Elementwise: is (u[i], v[i]) an edge? Ids outside [0, n) are non-edges.
+        Binary-searches u * n + v in the edge keys, which strictly increase on
+        any graph that passes check_invariants."""
+        u, v = (np.asarray(x).astype(np.int64) for x in (u, v))
+        inside = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < self.n)
+        keys = u * self.n + v
+        edge_keys = self._edge_keys()
+        pos = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
+        return inside & (edge_keys[pos] == keys)
+
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors_of(u)
-        i = np.searchsorted(row, v)
-        return bool(i < row.size and row[i] == v)
+        return bool(self.has_edges([u], [v])[0])
 
     def check_invariants(self) -> None:
-        """Full-scan assertions: degree sum, symmetry, sortedness, no loops."""
-        assert int(self.degrees.sum()) == 2 * self.m
-        assert self.offsets[0] == 0 and self.offsets[-1] == 2 * self.m
-        for v in range(self.n):
-            row = self.neighbors_of(v)
-            assert np.all(np.diff(row) > 0), f"unsorted or duplicate neighbors at {v}"
-            assert v not in row, f"self-loop at {v}"
-            for u in row:
-                assert self.has_edge(int(u), v), f"asymmetric edge ({v},{u})"
+        """Raise GraphError unless this is a simple undirected graph.
+
+        Degrees sum to 2m and neighbors lie in [0, n). Over the edge keys
+        src * n + neighbor: they strictly increase (rows sorted, no
+        duplicates), none is a self-loop, and the keys of the reversed
+        entries, sorted, equal them (every edge is stored both ways).
+        """
+        nb = self.neighbors
+        if (nb.size != 2 * self.m or int(self.degrees.sum()) != nb.size
+                or np.any((nb < 0) | (nb >= self.n))):
+            raise GraphError("degrees must sum to 2m and neighbors must be in [0, n)")
+        keys = self._edge_keys()
+        src = keys // self.n
+        if np.any(np.diff(keys) <= 0):
+            raise GraphError("a row of neighbors is unsorted or has a duplicate")
+        if np.any(src == nb):
+            raise GraphError("a vertex is its own neighbor (self-loop)")
+        if not np.array_equal(np.sort(nb * self.n + src), keys):
+            raise GraphError("an edge is stored in one direction only")
 
 
 def _as_vertex_ids(g: Graph, s: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
@@ -94,16 +118,12 @@ def from_edge_array(n: int, edges: np.ndarray, id_map: Tuple[int, ...] | None = 
     duplicates and both orientations; self-loops must be removed already)."""
     if edges.size == 0:
         raise GraphError("empty graph: no edges")
-    both = np.vstack([edges, edges[:, ::-1]])
-    both = np.unique(both, axis=0)
-    src = both[:, 0]
+    u, v = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    # sorted unique keys src * n + neighbor: rows in vertex order, each sorted
+    src, neighbors = np.divmod(np.unique(np.concatenate([u * n + v, v * n + u])), n)
     degrees = np.bincount(src, minlength=n).astype(np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    # rows of `both` are sorted lexicographically, so each adjacency list is sorted
-    neighbors = both[:, 1].astype(np.int64)
-    m = both.shape[0] // 2
-    return Graph(n=n, m=m, offsets=offsets, neighbors=neighbors,
+    offsets = np.concatenate(([0], np.cumsum(degrees)))
+    return Graph(n=n, m=neighbors.size // 2, offsets=offsets, neighbors=neighbors,
                  degrees=degrees, id_map=id_map)
 
 
@@ -205,7 +225,8 @@ def save_cache(g: Graph, path: str) -> None:
 
 
 def load_cache(path: str) -> Graph:
-    """Read a save_cache file; a truncated or inconsistent one raises GraphError."""
+    """Read a save_cache file; a truncated or inconsistent one, or one whose
+    adjacency fails check_invariants, raises GraphError."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != _CACHE_MAGIC:
@@ -219,13 +240,16 @@ def load_cache(path: str) -> Graph:
                          f"n={n} and m={m} need {need}")
     words = np.frombuffer(data, dtype="<u8", offset=20)
     degrees, neighbors = words[:n], words[n:n + 2 * m]
-    # degrees <= 2m keeps their uint64 sum from wrapping round to 2m
-    if (m < 1 or int(words[n + 2 * m]) != n or np.any(degrees > 2 * m)
-            or int(degrees.sum()) != 2 * m or int(neighbors.max()) >= n):
-        raise GraphError(f"{path}: corrupt graph cache: the id-map count must be n, "
-                         "the degrees must sum to 2m and neighbors must be < n")
+    # degrees <= 2m keeps their sum in check_invariants from wrapping round to 2m
+    if m < 1 or int(words[n + 2 * m]) != n or np.any(degrees > 2 * m):
+        raise GraphError(f"{path}: corrupt graph cache: the id-map count must be n "
+                         "and no degree may exceed 2m")
     degrees = degrees.astype(np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    return Graph(n=n, m=m, offsets=offsets, neighbors=neighbors.astype(np.int64),
-                 degrees=degrees, id_map=tuple(int(x) for x in words[n + 2 * m + 1:]))
+    offsets = np.concatenate(([0], np.cumsum(degrees)))
+    g = Graph(n=n, m=m, offsets=offsets, neighbors=neighbors.astype(np.int64),
+              degrees=degrees, id_map=tuple(int(x) for x in words[n + 2 * m + 1:]))
+    try:
+        g.check_invariants()
+    except GraphError as exc:
+        raise GraphError(f"{path}: corrupt graph cache: {exc}") from None
+    return g

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .rng import splitmix64, splitmix64_array
+from .rng import splitmix64_array
 
 # Superstep kinds; request/reply pairs collapse 2:1 into paper rounds.
 KIND_REQUEST = "stitch-request"
@@ -91,13 +91,6 @@ class RoundLedger:
                            [v for v in self.violations if v["round"] >= first])
 
 
-def assign_machine(cfg: ClusterConfig, v: int) -> int:
-    """Stable machine for vertex v: splitmix64(v) mod num_machines."""
-    if cfg.num_machines == 1:
-        return 0
-    return splitmix64(int(v)) % cfg.num_machines
-
-
 class Cluster:
     """A ClusterConfig plus the running ledger of exchanges."""
 
@@ -106,6 +99,7 @@ class Cluster:
         self.ledger = RoundLedger()
 
     def assign_machines(self, vs: np.ndarray) -> np.ndarray:
+        """Stable machine of each vertex: splitmix64(v) mod num_machines."""
         hashed = splitmix64_array(vs.astype(np.uint64))
         return (hashed % np.uint64(self.cfg.num_machines)).astype(np.int64)
 
@@ -127,11 +121,12 @@ class Cluster:
         elif self.cfg.num_machines == 1:
             max_per_machine = total_words
         else:
-            # hash each receiving vertex once, not each message
+            # hash each receiving vertex once, not each message, and hold
+            # loads only for the machines that receive something
             per_vertex = np.bincount(dest)
             hit = np.flatnonzero(per_vertex)
-            loads = np.bincount(self.assign_machines(hit), weights=per_vertex[hit],
-                                minlength=self.cfg.num_machines).astype(np.int64) * int(words)
+            machines, slot = np.unique(self.assign_machines(hit), return_inverse=True)
+            loads = np.bincount(slot, weights=per_vertex[hit]).astype(np.int64) * int(words)
             max_per_machine = int(loads.max())
 
         round_index = self.ledger.superstep_count
@@ -140,7 +135,7 @@ class Cluster:
             max_words_per_machine=max_per_machine))
 
         if max_per_machine > self.cfg.machine_capacity:
-            offender = 0 if self.cfg.num_machines == 1 else int(np.argmax(loads))
+            offender = 0 if self.cfg.num_machines == 1 else int(machines[np.argmax(loads)])
             self.ledger.violations.append(
                 {"round": round_index, "machine": offender, "words": max_per_machine})
             if self.cfg.enforce_capacity:

@@ -107,21 +107,11 @@ class SweepResult:
     """Vertices in score/degree order with per-prefix conductances."""
 
     ordering: List[int]
-    phis: List[float | None]
+    phi_list: List[float | None]
     best_j: int                       # 1-based prefix size of the best cut
     best_set: List[int]
     phi: float
     phi_exact: Fraction
-
-    def to_dict(self) -> dict:
-        return {
-            "ordering": list(self.ordering),
-            "phi_list": [p for p in self.phis],
-            "best_j": self.best_j,
-            "best_set": list(self.best_set),
-            "phi": self.phi,
-            "phi_exact": [self.phi_exact.numerator, self.phi_exact.denominator],
-        }
 
 
 def sweep(g: Graph, q: ScoreVector) -> SweepResult:
@@ -141,7 +131,7 @@ def sweep(g: Graph, q: ScoreVector) -> SweepResult:
     two_m = g.volume
     cut = 0
     vol = 0
-    phis: List[float | None] = []
+    phi_list: List[float | None] = []
     best_phi_num = None  # (cut, denom) of the running best, compared exactly
     best_j = 0
     for j, v in enumerate(order, start=1):
@@ -153,9 +143,9 @@ def sweep(g: Graph, q: ScoreVector) -> SweepResult:
         in_set[v] = True
         denom = min(vol, two_m - vol)
         if denom <= 0:
-            phis.append(None)
+            phi_list.append(None)
             continue
-        phis.append(cut / denom)
+        phi_list.append(cut / denom)
         if best_phi_num is None or cut * best_phi_num[1] < best_phi_num[0] * denom:
             best_phi_num = (cut, denom)
             best_j = j
@@ -163,7 +153,7 @@ def sweep(g: Graph, q: ScoreVector) -> SweepResult:
         raise PPRError("no prefix has a defined conductance")
     best_set = [int(v) for v in order[:best_j]]
     phi_exact = Fraction(best_phi_num[0], best_phi_num[1])
-    return SweepResult(ordering=[int(v) for v in order], phis=phis, best_j=best_j,
+    return SweepResult(ordering=[int(v) for v in order], phi_list=phi_list, best_j=best_j,
                        best_set=best_set, phi=best_phi_num[0] / best_phi_num[1],
                        phi_exact=phi_exact)
 
@@ -185,21 +175,6 @@ class LocalClusterResult:
     teleport_dominated: bool
     sweep: SweepResult
     walks_ok: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "seed_vertex": self.seed_vertex,
-            "alpha": self.alpha,
-            "target_volume": self.target_volume,
-            "eta": self.eta,
-            "cut": list(self.cut),
-            "phi": self.phi,
-            "phi_exact": [self.phi_exact.numerator, self.phi_exact.denominator],
-            "bound": self.bound,
-            "teleport_dominated": self.teleport_dominated,
-            "walks_ok": self.walks_ok,
-            "sweep": self.sweep.to_dict(),
-        }
 
 
 def conductance_bound(alpha: float, target_volume: float) -> float:

@@ -65,6 +65,19 @@ class TestIngest:
         assert run_cli("walks", "--graph", cliques_cache, "--root", 0, "--seed", 1) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("neighbors", [
+        [2, 1, 0, 0],      # vertex 0's row is unsorted
+        [1, 1, 0, 0],      # vertex 0 lists vertex 1 twice
+        [0, 1, 0, 0],      # self-loop at vertex 0
+        [1, 2, 2, 0]])     # (0, 1) and (1, 2) are stored one way only
+    def test_bad_adjacency_cache_exit_2(self, neighbors, tmp_path, capsys):
+        # 3 vertices, 2 edges, degrees 2, 1, 1, identity id map
+        words = [3, 2, 2, 1, 1, *neighbors, 3, 0, 1, 2]
+        cache = tmp_path / "bad.lwg"
+        cache.write_bytes(b"LWG1" + np.array(words, dtype="<u8").tobytes())
+        assert run_cli("walks", "--graph", cache, "--root", 0, "--seed", 1) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cache}: corrupt graph cache")
+
 
 class TestWalks:
     def test_cycles_metric(self, cliques_cache, tmp_path):
@@ -468,6 +481,7 @@ class TestClusterCommand:
         assert set(data["sweep"]) == {"ordering", "phi_list", "best_j",
                                       "best_set", "phi", "phi_exact"}
         assert data["phi"] == pytest.approx(1 / 211)
+        assert data["phi_exact"] == data["sweep"]["phi_exact"] == [1, 211]
         assert data["bound"] > data["phi"]
         lines = csv.read_text().splitlines()
         assert lines[0] == "prefix,vertex,phi"

@@ -771,3 +771,27 @@ class TestUniformStitching:
         res = uniform_stitching(g, 20, 4, seed=5, tau=1.3)
         assert np.all(res.ok_per_vertex > 0)
         assert validate_walks(g, res.result.verts, lazy=False)
+
+
+class TestValidateWalks:
+    """Steps are checked against the graph's edges, and ids outside [0, n)
+    never pass, even where their key src * n + neighbor is an edge's key."""
+
+    def test_accepts_edges_and_in_range_self_steps(self):
+        g = path_graph(4)
+        assert validate_walks(g, np.array([[0, 1, 2, 3], [3, 2, 1, 0]]), lazy=False)
+        assert validate_walks(g, np.array([[0, 0, 1, 1]]), lazy=True)
+        assert not validate_walks(g, np.array([[0, 0, 1, 1]]), lazy=False)
+
+    def test_rejects_neighbor_past_n(self):
+        # 0 * 4 + 6 is the key of the edge (1, 2)
+        assert not validate_walks(path_graph(4), np.array([[0, 4 + 2]]), lazy=False)
+
+    def test_rejects_lazy_step_outside_graph(self):
+        assert not validate_walks(path_graph(4), np.array([[9, 9]]), lazy=True)
+
+    def test_rejects_negative_id(self):
+        # -1 * 4 + 5 is the key of the edge (0, 1)
+        g = path_graph(4)
+        assert not validate_walks(g, np.array([[-1, 5]]), lazy=False)
+        assert not validate_walks(g, np.array([[-1, -1]]), lazy=True)

@@ -5,7 +5,8 @@ from fractions import Fraction
 from walkstitch import (EdgeListParseError, GraphError, UndefinedConductanceError,
                         boundary_size, conductance, load_cache, load_edge_list,
                         save_cache, volume)
-from walkstitch.fixtures import cycle_graph, gnp, star_graph, two_cliques
+from walkstitch.fixtures import cycle_graph, gnp, path_graph, star_graph, two_cliques
+from walkstitch.graph import from_edge_array
 
 
 class TestLoadEdgeList:
@@ -56,6 +57,52 @@ class TestLoadEdgeList:
     def test_adjacency_sorted_and_symmetric(self):
         g = gnp(40, 0.15, seed=5)
         g.check_invariants()
+
+
+def unique_rows_reference(n, edges):
+    """from_edge_array's arrays built from np.unique over stacked pairs."""
+    both = np.unique(np.vstack([edges, edges[:, ::-1]]), axis=0)
+    degrees = np.bincount(both[:, 0], minlength=n).astype(np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    return offsets, both[:, 1].astype(np.int64), degrees, both.shape[0] // 2
+
+
+class TestFromEdgeArray:
+    def test_matches_unique_rows_reference(self):
+        # multigraphs with duplicates and both orientations of an edge
+        rng = np.random.Generator(np.random.PCG64(7))
+        for _ in range(50):
+            n = int(rng.integers(2, 60))
+            edges = rng.integers(0, n, size=(int(rng.integers(1, 4 * n)), 2))
+            edges = edges[edges[:, 0] != edges[:, 1]]
+            if edges.size == 0:
+                edges = np.array([[0, 1]])
+            edges = np.vstack([edges, edges[: len(edges) // 2, ::-1], edges[:3]])
+            g = from_edge_array(n, edges)
+            offsets, neighbors, degrees, m = unique_rows_reference(n, edges)
+            for got, want in ((g.offsets, offsets), (g.neighbors, neighbors),
+                              (g.degrees, degrees)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            assert g.m == m
+            g.check_invariants()
+
+
+class TestEdgeQueries:
+    def test_has_edges_matches_rows(self):
+        g = gnp(30, 0.2, seed=4)
+        u, v = np.divmod(np.arange(g.n * g.n), g.n)
+        want = [v_ in g.neighbors_of(u_) for u_, v_ in zip(u, v)]
+        assert g.has_edges(u, v).tolist() == want
+        assert [g.has_edge(int(a), int(b)) for a, b in zip(u, v)] == want
+
+    def test_ids_outside_graph_are_not_edges(self):
+        g = path_graph(4)
+        # each pair's key u * 4 + v is the key of an edge
+        u, v = np.array([0, -1, 4, 1]), np.array([6, 5, -2, 5])
+        assert not g.has_edges(u, v).any()
+        assert not g.has_edge(0, 6)
 
 
 class TestQuantities:

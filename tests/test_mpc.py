@@ -2,31 +2,31 @@ import numpy as np
 import pytest
 
 from walkstitch.mpc import (KIND_REPLY, KIND_REQUEST, KIND_UPDATE, CapacityError,
-                            Cluster, ClusterConfig, RoundRecord, assign_machine)
+                            Cluster, ClusterConfig, RoundRecord)
 from walkstitch.rng import splitmix64, splitmix64_array, substream
+
+
+def machines_of(machines, vs):
+    return Cluster(ClusterConfig(num_machines=machines)).assign_machines(
+        np.asarray(vs, dtype=np.int64))
 
 
 class TestAssignMachine:
     def test_single_machine(self):
-        cfg = ClusterConfig(num_machines=1)
-        assert all(assign_machine(cfg, v) == 0 for v in (0, 1, 999))
+        assert all(m == 0 for m in machines_of(1, [0, 1, 999]))
 
     def test_deterministic(self):
-        cfg = ClusterConfig(num_machines=7)
-        for v in range(50):
-            assert assign_machine(cfg, v) == assign_machine(cfg, v)
+        vs = np.arange(50)
+        assert np.array_equal(machines_of(7, vs), machines_of(7, vs))
 
     def test_balanced_over_10_machines(self):
-        cfg = ClusterConfig(num_machines=10)
-        loads = np.bincount([assign_machine(cfg, v) for v in range(1000)],
-                            minlength=10)
+        loads = np.bincount(machines_of(10, np.arange(1000)), minlength=10)
         assert loads.min() >= 50 and loads.max() <= 150
 
     def test_vectorized_matches_scalar(self):
-        cluster = Cluster(ClusterConfig(num_machines=13))
-        vs = np.arange(200, dtype=np.int64)
-        vec = cluster.assign_machines(vs)
-        assert all(vec[v] == assign_machine(cluster.cfg, v) for v in range(200))
+        # reference: the scalar hash of each vertex, reduced mod the machine count
+        vec = machines_of(13, np.arange(200))
+        assert all(vec[v] == splitmix64(v) % 13 for v in range(200))
 
     def test_splitmix_array_matches_scalar(self):
         xs = np.array([0, 1, 2, 0xDEADBEEF, (1 << 63) + 5], dtype=np.uint64)
@@ -90,6 +90,15 @@ class TestExchange:
         assert c.ledger.rounds == rounds
         assert c.ledger.violations == violations
         assert [v["round"] for v in violations] == [1, 2]
+
+    def test_loads_held_only_for_receiving_machines(self):
+        # 10**12 machines: a load array over every machine would not fit in memory
+        c = Cluster(ClusterConfig(num_machines=10**12, machine_capacity=1))
+        dest = np.array([0, 3, 3])
+        c.exchange_bulk(dest, words=1)
+        machines = c.assign_machines(np.array([0, 3]))
+        assert c.ledger.rounds[-1].max_words_per_machine == 2
+        assert c.ledger.violations == [{"round": 0, "machine": int(machines[1]), "words": 2}]
 
     def test_superstep_monotonic(self):
         c = Cluster()

@@ -144,7 +144,7 @@ class TestSweep:
         support = [v for v in support if g.degrees[v] > 0]
         dense[support] = rng.random(len(support)) + 0.01
         res = sweep(g, ScoreVector.from_dense(dense))
-        for j, phi in enumerate(res.phis, start=1):
+        for j, phi in enumerate(res.phi_list, start=1):
             prefix = res.ordering[:j]
             vol = int(g.degrees[prefix].sum())
             if min(vol, g.volume - vol) <= 0:
@@ -157,7 +157,7 @@ class TestSweep:
         q = ScoreVector.from_dense(np.array([0.4, 0.4, 0.4, 0, 0, 0]))
         res = sweep(g, q)
         assert set(res.ordering) == {0, 1, 2}
-        assert any(p == pytest.approx(1 / 3) for p in res.phis if p is not None)
+        assert any(p == pytest.approx(1 / 3) for p in res.phi_list if p is not None)
 
     def test_empty_support_rejected(self):
         with pytest.raises(PPRError):
