@@ -11,10 +11,11 @@ flags win. store_true flags are written `strict=true`.
 Exit codes: 0 success; 1 algorithmic failure (abort-mode stitch failure,
 fewer usable walks than --M, a failing oracle check, budgets whose segments
 do not fit in memory or in int32 indices); 2 usage or parse error
-(bad flag or config line; --root or --seed-vertex outside the graph; length
-above 2^14; malformed, non-UTF-8 or missing input file, or a vertex twice in
-a budget file; a graph cache that is truncated, corrupt, or has unsorted,
-duplicate, self-loop or one-way adjacency); 3 capacity violation in strict mode.
+(bad flag or config line; --seed outside [0, 2^64); --root or --seed-vertex
+outside the graph; length above 2^14; malformed, non-UTF-8 or missing input
+file, or a vertex twice in a budget file; a graph cache that is truncated,
+corrupt, or has unsorted, duplicate, self-loop or one-way adjacency); 3
+capacity violation in strict mode.
 """
 
 from __future__ import annotations
@@ -206,6 +207,15 @@ def read_walk_file(path: str, root: int | None = None) -> np.ndarray:
 
 # -- shared parameter assembly ----------------------------------------------
 
+def seed_value(text: str) -> int:
+    """A --seed: an integer in [0, 2^64), the key space of the substreams,
+    so that no two accepted seeds run the same streams."""
+    seed = int(text)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"{seed} is outside [0, 2^64)")
+    return seed
+
+
 def make_cluster(args) -> Cluster:
     return Cluster(ClusterConfig(num_machines=args.machines,
                                  machine_capacity=args.capacity,
@@ -231,7 +241,7 @@ def add_run_args(p: argparse.ArgumentParser, csv_help: str) -> None:
                    help="words per machine per round")
     p.add_argument("--strict", action="store_true",
                    help="abort on capacity violation instead of recording it")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=seed_value, required=True)
     p.add_argument("--csv", help=csv_help)
     p.add_argument("--report", help="metrics JSON path (default stdout)")
     p.add_argument("--timings", action="store_true",

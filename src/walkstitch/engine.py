@@ -27,7 +27,11 @@ Randomness comes from one substream per purpose and step, keyed by the run
 seed: one per cycle draws every length-1 segment, one per (cycle, phase)
 draws which requests of the short keys fail in a phase where some key's
 stock runs short (and is not drawn in any other phase), and one shuffles
-the returned walks. A run is therefore replayable from its seed.
+the returned walks. A run is therefore replayable from its seed. Level 0
+is drawn from the generator's raw words (32-bit halves for the neighbor
+picks, mapped as numpy's bounded integers map them; the top bit of a 64-bit
+word for a lazy coin), so it is, word for word, what gen.integers(0,
+degrees) and gen.random() < 0.5 over all segments would draw.
 """
 
 from __future__ import annotations
@@ -268,9 +272,14 @@ def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
     about _STITCH_BYTES in all; a run whose segments would need more than
     physical memory at that rate raises EngineError before anything is
     allocated. The neighbor picks, then the lazy coins, are drawn in slices
-    of _CHUNK segments of this order, so every other temporary is
-    O(_CHUNK); the slices draw exactly the streams of one call over all
-    segments.
+    of _CHUNK segments of this order, and the slices draw exactly the
+    streams of one gen.integers(0, degrees) call over all segments and one
+    gen.random() < 0.5 call for the coins. A slice draws one 32-bit word per
+    segment whose start has degree above 1 and maps it to a neighbor in
+    _draw_below, falling back to numpy's own call on the rare slice where a
+    word is rejected; a coin is the top bit of one raw 64-bit word. Slice
+    temporaries take at most 16 bytes a segment of the slice (a uint32
+    degree and word and a uint64 product, then an int64 pick and offset).
     """
     if budgets.shape != (g.n, params.length):
         raise EngineError("budget array shape does not match graph/params")
@@ -291,6 +300,7 @@ def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
     starts = np.repeat(np.arange(g.n, dtype=np.int32), per_vertex)
     ends = np.empty(total, dtype=np.int32)
     neighbors = g.neighbors.astype(np.int32)
+    degrees = g.degrees.astype(np.uint32)
     gen = substream(master_seed, INIT_STREAM, cycle)
     # the generator keeps the unused half of a 64-bit draw across calls, and
     # a bound of 1 draws nothing, so slice by slice the picks are the ones a
@@ -300,14 +310,55 @@ def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
         # the slice holds the runs of vertices v[0]..v[-1], the end ones cut
         lo, hi = int(v[0]), int(v[-1]) + 1
         counts = np.diff(np.searchsorted(v, np.arange(lo, hi + 1, dtype=np.int32)))
-        picks = gen.integers(0, np.repeat(g.degrees[lo:hi], counts))
+        picks = _draw_below(gen, np.repeat(degrees[lo:hi], counts))
         picks += np.repeat(g.offsets[lo:hi], counts)
         ends[a:a + _CHUNK] = neighbors[picks]
     if params.lazy:
+        # random() < 0.5 tests exactly the top bit of the 64-bit word it
+        # takes; a clear bit stays, as end = start + (end - start) * bit
         for a in range(0, total, _CHUNK):
-            stay = gen.random(min(_CHUNK, total - a)) < 0.5
-            np.copyto(ends[a:a + _CHUNK], starts[a:a + _CHUNK], where=stay)
+            b = min(a + _CHUNK, total)
+            move = gen.bit_generator.random_raw(b - a)
+            move >>= np.uint64(63)
+            move = move.astype(np.int32)
+            end = ends[a:b]
+            end -= starts[a:b]
+            end *= move
+            end += starts[a:b]
     return starts, ends, labels
+
+
+# where the low 32 bits of a uint64 sit in its pair of uint32 halves
+_LOW_HALF = 0 if np.little_endian else 1
+
+
+def _draw_below(gen: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
+    """gen.integers(0, bounds) for uint32 bounds >= 1, as int64, leaving gen
+    in the state that call leaves it in.
+
+    numpy draws one 32-bit word per bound above 1 and nothing for a bound
+    of 1, and maps word w to (w * bound) >> 32 (Lemire's multiply-shift),
+    rejecting w and drawing again when the low 32 bits of w * bound fall
+    below 2^32 mod bound. Here one call draws all the words, and the map
+    runs vectorised. A rejection has probability below bound / 2^32 a word;
+    on the rare slice that has one, the state is rewound and numpy's own
+    call draws the slice.
+    """
+    state = gen.bit_generator.state
+    k = int(np.count_nonzero(bounds > 1))
+    words = gen.integers(0, 1 << 32, size=k, dtype=np.uint32)
+    if k < bounds.size:   # a zero word maps to pick 0 under bound 1
+        words, drawn = np.zeros(bounds.size, dtype=np.uint32), words
+        words[bounds > 1] = drawn
+    product = np.multiply(words, bounds, dtype=np.uint64)
+    del words   # at most 16 bytes a bound stay live: bound, word, product
+    low = product.view(np.uint32)[_LOW_HALF::2]
+    near = np.flatnonzero(low < bounds)   # 2^32 mod bound < bound
+    if near.size and np.any(low[near] < np.uint64(1 << 32) % bounds[near]):
+        gen.bit_generator.state = state
+        return gen.integers(0, bounds)
+    product >>= np.uint64(32)
+    return product.view(np.int64)
 
 
 @dataclass

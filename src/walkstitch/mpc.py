@@ -97,11 +97,25 @@ class Cluster:
     def __init__(self, cfg: ClusterConfig | None = None):
         self.cfg = cfg or ClusterConfig()
         self.ledger = RoundLedger()
+        # the sorted distinct machines of vertices 0..len(_slot)-1, and the
+        # index into them of each such vertex's machine
+        self._machines = np.empty(0, dtype=np.int64)
+        self._slot = np.empty(0, dtype=np.intp)
 
     def assign_machines(self, vs: np.ndarray) -> np.ndarray:
         """Stable machine of each vertex: splitmix64(v) mod num_machines."""
         hashed = splitmix64_array(vs.astype(np.uint64))
         return (hashed % np.uint64(self.cfg.num_machines)).astype(np.int64)
+
+    def _machine_slots(self, size: int) -> np.ndarray:
+        """The machine slot of each vertex below `size`. The map is hashed
+        once per cluster and doubled when a larger vertex arrives, so an
+        exchange sorts nothing."""
+        if self._slot.size < size:
+            every = np.arange(max(size, 2 * self._slot.size))
+            self._machines, self._slot = np.unique(self.assign_machines(every),
+                                                   return_inverse=True)
+        return self._slot[:size]
 
     def exchange_bulk(self, dest: np.ndarray, words: int, kind: str = KIND_OTHER) -> None:
         """Account for one barrier exchange of len(dest) messages of `words`
@@ -121,12 +135,11 @@ class Cluster:
         elif self.cfg.num_machines == 1:
             max_per_machine = total_words
         else:
-            # hash each receiving vertex once, not each message, and hold
-            # loads only for the machines that receive something
+            # count messages per vertex, then per machine slot, so loads are
+            # held for the machines of mapped vertices only, not every machine
             per_vertex = np.bincount(dest)
-            hit = np.flatnonzero(per_vertex)
-            machines, slot = np.unique(self.assign_machines(hit), return_inverse=True)
-            loads = np.bincount(slot, weights=per_vertex[hit]).astype(np.int64) * int(words)
+            loads = np.bincount(self._machine_slots(per_vertex.size),
+                                weights=per_vertex).astype(np.int64) * int(words)
             max_per_machine = int(loads.max())
 
         round_index = self.ledger.superstep_count
@@ -135,7 +148,7 @@ class Cluster:
             max_words_per_machine=max_per_machine))
 
         if max_per_machine > self.cfg.machine_capacity:
-            offender = 0 if self.cfg.num_machines == 1 else int(machines[np.argmax(loads)])
+            offender = 0 if self.cfg.num_machines == 1 else int(self._machines[np.argmax(loads)])
             self.ledger.violations.append(
                 {"round": round_index, "machine": offender, "words": max_per_machine})
             if self.cfg.enforce_capacity:

@@ -269,6 +269,22 @@ class TestWalks:
         assert data["shortfall"] == {"1": 0, "16": 0}
         assert data["params"]["threshold"] == 20 and data["params"]["length"] == 4
 
+    @pytest.mark.parametrize("seed, rc", [(-1, 2), (0, 0), ((1 << 64) - 1, 0), (1 << 64, 2)])
+    def test_seed_range(self, seed, rc, path_graph_file, tmp_path, capsys):
+        # a seed outside [0, 2^64) would alias one inside it
+        out = tmp_path / "w.txt"
+        argv = ("walks", "--graph", path_graph_file, "--root", 0, "--length", 2,
+                "--target", 10, "--theta", 5, "--seed", seed, "--out", out,
+                "--report", tmp_path / "r.json")
+        if rc == 0:
+            assert run_cli(*argv) == 0 and out.exists()
+            return
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert f"argument --seed: {seed} is outside [0, 2^64)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_root_exit_2(self, cliques_cache):
         assert run_cli("walks", "--graph", cliques_cache, "--seed", 1) == 2
 

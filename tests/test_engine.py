@@ -158,6 +158,40 @@ class TestCyclePlan:
         assert cycle_plan(9, 2.0) == (3, 4)
 
 
+# At degree 3*10^5 a word is rejected with probability (2^32 mod 300 000) /
+# 2^32, about 1 in 25 700, so about a quarter of the hub's slices of 8192
+# segments reject a word and fall back to numpy's own call.
+HUB_LEAVES = 300_000
+HUB_CHUNK = 1 << 13
+
+
+def star_budgets(leaves):
+    """The budgets of star_graph(5) on its center and first five leaves; a
+    bigger star's center gets 2000 times as many."""
+    b = np.zeros((leaves + 1, 2), dtype=np.int64)
+    b[:6] = [[100, 50], [3, 0], [0, 2], [1, 1], [0, 0], [4, 0]]
+    if leaves > 5:
+        b[0] *= 2000
+    return b
+
+
+class IntegersSpy:
+    """A Generator that records every integers call given an array of
+    bounds: in init_walks only _draw_below's fallback makes one."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.fallbacks = []
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def integers(self, low, high, **kw):
+        if np.ndim(high):
+            self.fallbacks.append(np.size(high))
+        return self._gen.integers(low, high, **kw)
+
+
 class TestInitWalks:
     def test_k2_forced_neighbor(self):
         g = path_graph(2)
@@ -194,14 +228,18 @@ class TestInitWalks:
         with pytest.raises(Exception, match="isolated"):
             init_walks(g, b, p, master_seed=0)
 
-    @pytest.mark.parametrize("laziness", ["none", "half"])
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_slices_draw_the_one_call_streams(self, monkeypatch, chunk, laziness):
-        # the center (degree 5) has a run of 150 segments, which spans
-        # several slices; the leaves have degree 1 and draw nothing
-        g = star_graph(5)
+    @pytest.mark.parametrize("leaves, chunk, laziness", [
+        pytest.param(5, chunk, laziness, id=f"{chunk}-{laziness}")
+        for laziness in ("none", "half") for chunk in (1, 7, 64)
+    ] + [pytest.param(HUB_LEAVES, HUB_CHUNK, "half", id="hub-300000-half")])
+    def test_slices_draw_the_one_call_streams(self, monkeypatch, leaves, chunk, laziness):
+        # the center has a run of segments that spans several slices, and
+        # the leaves have degree 1 and draw nothing. The big hub rejects
+        # some of its words, so some of its slices fall back to numpy's own
+        # call and some do not (test_rejections_fall_back_to_numpy)
+        g = star_graph(leaves)
         p = desk_params(length=2, target=1, tau=1.0, laziness=laziness)
-        b = np.array([[100, 50], [3, 0], [0, 2], [1, 1], [0, 0], [4, 0]], dtype=np.int64)
+        b = star_budgets(leaves)
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         got = init_walks(g, b, p, master_seed=9, cycle=2)
         for arr, ref in zip(got, one_call_init_walks(g, b, p, master_seed=9, cycle=2)):
@@ -222,6 +260,47 @@ class TestInitWalks:
             init_walks(g, b, p, master_seed=0)
         pages["SC_PHYS_PAGES"] = 600
         assert init_walks(g, b, p, master_seed=0)[0].size == 80_000
+
+
+    def test_rejections_fall_back_to_numpy(self, monkeypatch):
+        spies = []
+
+        def spied_substream(*key):
+            spies.append(IntegersSpy(substream(*key)))
+            return spies[-1]
+
+        monkeypatch.setattr(engine, "substream", spied_substream)
+        monkeypatch.setattr(engine, "_CHUNK", HUB_CHUNK)
+        g = star_graph(HUB_LEAVES)
+        b = star_budgets(HUB_LEAVES)
+        init_walks(g, b, desk_params(length=2, target=1, tau=1.0, laziness="half"),
+                   master_seed=9, cycle=2)
+        slices = -(-int(b.sum()) // HUB_CHUNK)
+        assert 0 < len(spies[0].fallbacks) < slices
+        # the ppr-cliques degrees, 16 and 17, reject a word with probability
+        # 0 and 2^-32
+        g = two_cliques(17)
+        p = desk_params(length=64, target=1, base_budget=10.0, tau=1.15, laziness="half")
+        init_walks(g, initial_budgets(g, p), p, master_seed=13)
+        assert spies[1].fallbacks == []
+
+
+class TestDrawBelow:
+    @pytest.mark.parametrize("bound", [2, 17, 300_000, 1_431_655_766, 2 ** 31 - 1])
+    def test_matches_generator_integers(self, bound):
+        # 2^32 mod 1 431 655 766 is 1 431 655 764: about a third of the words
+        # drawn for that bound are rejected
+        mix = np.random.default_rng(bound)
+        bounds = np.where(mix.random(40_001) < 0.5, bound,
+                          mix.integers(1, 6, 40_001)).astype(np.uint32)
+        got, ref = substream(4, INIT_STREAM, 1), substream(4, INIT_STREAM, 1)
+        picks = engine._draw_below(got, bounds)
+        assert picks.dtype == np.int64
+        assert np.array_equal(picks, ref.integers(0, bounds))
+        # the next 32-bit draw takes a buffered half-word first, if any
+        assert np.array_equal(got.integers(0, 1 << 32, size=3, dtype=np.uint32),
+                              ref.integers(0, 1 << 32, size=3, dtype=np.uint32))
+        assert got.bit_generator.state == ref.bit_generator.state
 
 
 def one_call_init_walks(g, budgets, params, master_seed, cycle):
