@@ -52,6 +52,7 @@ from .rng import INIT_STREAM, SERVE_STREAM, SHUFFLE_STREAM, derive_key, substrea
 _ENGINE_NS = 0x10  # namespace tag folded into every engine substream key
 _CHUNK = 1 << 18   # segments per slice of init_walks' draws and of walk assembly
 _STITCH_BYTES = 30  # resident bytes a segment at the peak of one stitch call
+_REDRAW_RUN = 1 << 12  # fewest bounds in a run of _draw_below after a rejection
 
 LAZINESS = ("none", "half")
 MODES = ("theory", "practical")
@@ -339,26 +340,47 @@ def _draw_below(gen: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
     numpy draws one 32-bit word per bound above 1 and nothing for a bound
     of 1, and maps word w to (w * bound) >> 32 (Lemire's multiply-shift),
     rejecting w and drawing again when the low 32 bits of w * bound fall
-    below 2^32 mod bound. Here one call draws all the words, and the map
-    runs vectorised. A rejection has probability below bound / 2^32 a word;
-    on the rare slice that has one, the state is rewound and numpy's own
-    call draws the slice.
+    below 2^32 mod bound. Here one call draws the words of a run of bounds,
+    and the map runs vectorised. A word is rejected with probability below
+    bound / 2^32. At the first rejected word of a run the picks before it
+    stand: the state is rewound to just after their words, numpy's own call
+    draws that one pick, and a new run starts after it. The first run is the
+    whole array; a run after a rejection spans the mean gap between the
+    rejected words of the run before (at least _REDRAW_RUN bounds), and a
+    run without one doubles, so a rejection redoes about as many words as
+    were kept since the last one. A run whose rejected words lie closer
+    than _REDRAW_RUN bounds apart is drawn by numpy from the first one on.
     """
-    state = gen.bit_generator.state
-    k = int(np.count_nonzero(bounds > 1))
-    words = gen.integers(0, 1 << 32, size=k, dtype=np.uint32)
-    if k < bounds.size:   # a zero word maps to pick 0 under bound 1
-        words, drawn = np.zeros(bounds.size, dtype=np.uint32), words
-        words[bounds > 1] = drawn
-    product = np.multiply(words, bounds, dtype=np.uint64)
-    del words   # at most 16 bytes a bound stay live: bound, word, product
-    low = product.view(np.uint32)[_LOW_HALF::2]
-    near = np.flatnonzero(low < bounds)   # 2^32 mod bound < bound
-    if near.size and np.any(low[near] < np.uint64(1 << 32) % bounds[near]):
+    picks = np.empty(bounds.size, dtype=np.uint64)
+    a, run = 0, bounds.size
+    while a < bounds.size:
+        rest, product = bounds[a:a + run], picks[a:a + run]
+        state = gen.bit_generator.state
+        k = int(np.count_nonzero(rest > 1))
+        words = gen.integers(0, 1 << 32, size=k, dtype=np.uint32)
+        if k < rest.size:   # a zero word maps to pick 0 under bound 1
+            words, drawn = np.zeros(rest.size, dtype=np.uint32), words
+            words[rest > 1] = drawn
+        np.multiply(words, rest, out=product, dtype=np.uint64)
+        del words   # at most 16 bytes a bound stay live: bound, word, pick
+        low = product.view(np.uint32)[_LOW_HALF::2]
+        near = np.flatnonzero(low < rest)   # 2^32 mod bound < bound
+        rejected = near[low[near] < np.uint64(1 << 32) % rest[near]]
+        product >>= np.uint64(32)
+        if not rejected.size:
+            a += rest.size
+            run *= 2
+            continue
+        j = int(rejected[0])
         gen.bit_generator.state = state
-        return gen.integers(0, bounds)
-    product >>= np.uint64(32)
-    return product.view(np.int64)
+        gen.integers(0, 1 << 32, size=int(np.count_nonzero(rest[:j] > 1)), dtype=np.uint32)
+        # rejected words this run lay about `spacing` bounds apart
+        spacing = rest.size // rejected.size
+        stop = j + 1 if spacing >= _REDRAW_RUN else rest.size
+        product[j:stop] = gen.integers(0, rest[j:stop])
+        a += stop
+        run = max(spacing, _REDRAW_RUN)
+    return picks.view(np.int64)
 
 
 @dataclass
@@ -371,8 +393,9 @@ class StitchResult:
     phase: the requester ids (left halves) and the server ids (right halves)
     of every served request, in requester order. The finished walks are the
     segments of the last level, row i starting at starts[i]. Walks are built
-    only for the rows asked for (`walks`); `verts` builds all of them on first
-    access.
+    only for the rows asked for (`walks`), a leaf position at a time: one 1-D
+    gather per child array per level finds the leaf ids at a position, and
+    one more their vertices. `verts` builds all of them on first access.
 
     failed lists, per phase, the label-1 requesters whose request went
     unserved: (phase, their segment ids at level phase-1, their start
@@ -389,38 +412,54 @@ class StitchResult:
     starts: np.ndarray                # (K,) int32 start vertex of each finished walk
     failed: List[Tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
 
+    def _leaf_columns(self, rows: np.ndarray, level: int) -> List[np.ndarray]:
+        """Leaf segment ids under segments `rows` of `level`, one flat intp
+        array per leaf position, left to right: one 1-D np.take per child
+        array per level, each column of a level splitting into its left and
+        right children's columns."""
+        cols = [np.asarray(rows, dtype=np.intp)]
+        size = self.levels[level - 1][0].size if level else self.leaf_start.size
+        if cols[0].size and not (0 <= cols[0].min() and cols[0].max() < size):
+            raise IndexError(f"rows must lie in [0, {size}) at level {level}")
+        for left, right in reversed(self.levels[:level]):
+            cols = [np.take(child, c).astype(np.intp)
+                    for c in cols for child in (left, right)]
+        return cols
+
     def leaf_ids(self, rows: np.ndarray, level: int | None = None) -> np.ndarray:
         """Leaf segment ids under segments `rows` of `level` (default: the
-        finished walks), left to right: int32, shape (len(rows), 2**level).
-        One vectorised gather per level."""
+        finished walks), left to right: int32, shape (len(rows), 2**level)."""
         level = len(self.levels) if level is None else level
-        ids = np.asarray(rows, dtype=np.int32)[:, None]
-        for left, right in reversed(self.levels[:level]):
-            below = np.empty((ids.shape[0], 2 * ids.shape[1]), dtype=np.int32)
-            below[:, 0::2] = left[ids]
-            below[:, 1::2] = right[ids]
-            ids = below
-        return ids
+        return np.stack(self._leaf_columns(rows, level), axis=1, dtype=np.int32)
 
     def walks(self, rows: np.ndarray, level: int | None = None) -> np.ndarray:
         """Vertex sequences of segments `rows` of `level` (default: the
         finished walks): int32, shape (len(rows), 2**level + 1). The rows
-        are built in slices of about _CHUNK leaves, so the leaf ids and
-        gathers beside the output stay O(_CHUNK)."""
+        are built in slices of about _CHUNK leaves, a column at a time: each
+        leaf position fills one row of a (width, slice) block by a 1-D
+        gather, and the block's transpose is written out, so the leaf ids
+        and the block beside the output stay O(_CHUNK)."""
         level = len(self.levels) if level is None else level
         rows = np.asarray(rows)
-        out = np.empty((rows.size, (1 << level) + 1), dtype=np.int32)
+        width = (1 << level) + 1
+        out = np.empty((rows.size, width), dtype=np.int32)
         step = max(1, _CHUNK >> level)
+        block = np.empty((width, min(step, rows.size)), dtype=np.int32)
         for a in range(0, rows.size, step):
-            ids = self.leaf_ids(rows[a:a + step], level)
-            out[a:a + step, :-1] = self.leaf_start[ids]
-            out[a:a + step, -1] = self.leaf_end[ids[:, -1]]
+            cols = self._leaf_columns(rows[a:a + step], level)
+            part = block[:, :cols[0].size]
+            # the ids are in range (checked on the rows, then drawn from
+            # the tree), so "clip" clips nothing; it spares take a buffer
+            for j, ids in enumerate(cols):
+                np.take(self.leaf_start, ids, out=part[j], mode="clip")
+            np.take(self.leaf_end, cols[-1], out=part[-1], mode="clip")
+            out[a:a + step] = part.T
         return out
 
     @cached_property
     def verts(self) -> np.ndarray:
         """All finished walks, (K, length+1), in row order."""
-        return self.walks(np.arange(self.starts.size))
+        return self.walks(np.arange(self.starts.size, dtype=np.int32))
 
     @cached_property
     def failed_chunks(self) -> List[Tuple[int, np.ndarray]]:
@@ -438,21 +477,28 @@ class StitchResult:
 
 
 def _group_by_key(key: np.ndarray, n_keys: int) -> np.ndarray:
-    """Positions of key as int32, stably grouped by key: positions with
-    equal keys keep their order.
+    """Positions of key, stably grouped by key: positions with equal keys
+    keep their order. Keys lie in [0, n_keys).
 
-    Keys below n_keys are sorted a 16-bit digit at a time, lowest first:
-    numpy's stable argsort of a 16-bit type is a radix sort, much faster
-    than a comparison sort of 64-bit keys.
+    Each position is packed below its key into one unsigned word, key <<
+    bits | position, and one in-place sort of the words (numpy's SIMD sort
+    of 32- or 64-bit integers) orders them by key, then by position; the
+    key bits are then masked off. The words are uint32 when key and
+    position fit in 32 bits, and the result is then an int32 view of them;
+    otherwise uint64 and int64. Past 64 bits EngineError is raised.
     """
-    if n_keys <= 1 << 16:
-        key = key.astype(np.uint16)
-    order = None
-    for shift in range(0, max(1, (n_keys - 1).bit_length()), 16):
-        digit = (key if order is None else key[order]) >> shift
-        step = np.argsort(digit.astype(np.uint16, copy=False), kind="stable")
-        order = step.astype(np.int32) if order is None else order[step]
-    return order
+    bits = max(key.size - 1, 0).bit_length()
+    width = (n_keys - 1).bit_length() + bits
+    if width > 64:
+        raise EngineError(f"{n_keys} keys and {key.size} positions need {width} "
+                          "bits, more than a 64-bit sort word")
+    word, view = (np.uint32, np.int32) if width <= 32 else (np.uint64, np.int64)
+    packed = key.astype(word)
+    packed <<= word(bits)
+    packed |= np.arange(key.size, dtype=word)
+    packed.sort()
+    packed &= word((1 << bits) - 1)
+    return packed.view(view)
 
 
 def _draw_failures(short: np.ndarray, rcount: np.ndarray, scount: np.ndarray,
@@ -509,8 +555,9 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
     and the rest are served by rank as in a key with stock to spare. The
     unserved walks are logged if they carry label 1.
 
-    Every index is int32, as a level holds fewer than 2^31 segments. In
-    practical mode a vertex's stock count comes from binary searches over
+    Every index is int32, as a level holds fewer than 2^31 segments; only
+    the request order of a phase whose keys and positions need more than 32
+    bits together is int64 (_group_by_key). In practical mode a vertex's stock count comes from binary searches over
     the start-sorted level; theory mode counts its int64 (vertex, label)
     keys. One call peaks at about 22-27 traced bytes a segment, level 0's
     10 included, and about _STITCH_BYTES resident.

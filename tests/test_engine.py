@@ -160,7 +160,7 @@ class TestCyclePlan:
 
 # At degree 3*10^5 a word is rejected with probability (2^32 mod 300 000) /
 # 2^32, about 1 in 25 700, so about a quarter of the hub's slices of 8192
-# segments reject a word and fall back to numpy's own call.
+# segments reject a word, and numpy's own call draws that one pick.
 HUB_LEAVES = 300_000
 HUB_CHUNK = 1 << 13
 
@@ -277,6 +277,7 @@ class TestInitWalks:
                    master_seed=9, cycle=2)
         slices = -(-int(b.sum()) // HUB_CHUNK)
         assert 0 < len(spies[0].fallbacks) < slices
+        assert set(spies[0].fallbacks) == {1}   # only the rejected picks
         # the ppr-cliques degrees, 16 and 17, reject a word with probability
         # 0 and 2^-32
         g = two_cliques(17)
@@ -301,6 +302,23 @@ class TestDrawBelow:
         assert np.array_equal(got.integers(0, 1 << 32, size=3, dtype=np.uint32),
                               ref.integers(0, 1 << 32, size=3, dtype=np.uint32))
         assert got.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("dense", [0, 64], ids=["hub", "hub-then-dense"])
+    def test_hub_slice_redraws_only_rejected_picks(self, dense):
+        # a whole slice of a star hub of degree 3*10^5 rejects several words,
+        # and numpy's own call draws each rejected pick and nothing else.
+        # A third of the words are rejected at 1 431 655 766: on a short
+        # tail of such bounds numpy draws the rest of a run, never the slice
+        bounds = np.full(engine._CHUNK + dense, HUB_LEAVES, dtype=np.uint32)
+        bounds[engine._CHUNK:] = 1_431_655_766
+        got = IntegersSpy(substream(9, INIT_STREAM, 1))
+        ref = substream(9, INIT_STREAM, 1)
+        assert np.array_equal(engine._draw_below(got, bounds), ref.integers(0, bounds))
+        assert np.array_equal(got.integers(0, 1 << 32, size=3, dtype=np.uint32),
+                              ref.integers(0, 1 << 32, size=3, dtype=np.uint32))
+        *singles, last = got.fallbacks
+        assert len(singles) > 1 and set(singles) == {1}
+        assert last == 1 if not dense else 1 < last < bounds.size
 
 
 def one_call_init_walks(g, budgets, params, master_seed, cycle):
@@ -457,7 +475,7 @@ class TestWorkingSet:
 
 
 class TestGroupByKey:
-    """The 16-bit radix passes give exactly a stable argsort on the key."""
+    """The packed sort gives exactly a stable argsort on the key."""
 
     @pytest.mark.parametrize("n_keys", [5, 1 << 16, (1 << 16) + 1, 1 << 20, 1 << 40])
     def test_matches_stable_argsort(self, n_keys):
@@ -466,6 +484,33 @@ class TestGroupByKey:
         key[0] = n_keys - 1  # the largest key needs every digit
         got = engine._group_by_key(key, n_keys)
         assert np.array_equal(got, np.argsort(key, kind="stable"))
+
+    @pytest.mark.parametrize("key, n_keys", [
+        ([], 1), ([], 7), ([0], 1), ([3], 4), ([0, 0, 0, 0], 1)],
+        ids=["empty-one-key", "empty", "single-one-key", "single", "one-key"])
+    def test_small_cases(self, key, n_keys):
+        key = np.array(key, dtype=np.int32)
+        got = engine._group_by_key(key, n_keys)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, np.arange(key.size))
+
+    @pytest.mark.parametrize("n_keys, dtype", [
+        (1 << 19, np.int32), ((1 << 19) + 1, np.int64)], ids=["32-bits", "33-bits"])
+    def test_packing_boundary(self, n_keys, dtype):
+        # 5000 positions take 13 bits; the largest key takes 19 or 20
+        rng = np.random.default_rng(n_keys)
+        key = rng.integers(0, 64, size=5000)
+        key[:2] = [n_keys - 1, n_keys - 1]
+        got = engine._group_by_key(key, n_keys)
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.argsort(key, kind="stable"))
+
+    def test_wider_than_64_bits_raises(self):
+        # 3 positions take 2 bits and keys below 2^63 take 63
+        key = np.array([5, 0, 5])
+        assert np.array_equal(engine._group_by_key(key, 1 << 62), [1, 0, 2])
+        with pytest.raises(engine.EngineError, match="65 bits"):
+            engine._group_by_key(key, 1 << 63)
 
 
 class TestDrawFailures:

@@ -16,6 +16,10 @@ requests and began to draw only which requests of each short key fail
 nothing else: init streams, abort-mode runs and phases without a short key
 draw as before, so test_theory_abort_run_budgeted kept its value.
 
+test_theory_wide_keys_run_budgeted was pinned later, on the stable 16-bit
+radix grouping that the packed sort replaced, so that the grouping of keys
+too wide for 32-bit sort words is checked too.
+
 Only a change that alters the RNG streams on purpose may update the pinned
 values, and it must say so in CHANGES.md.
 """
@@ -64,6 +68,18 @@ def test_theory_tolerate_run_budgeted():
     assert run.failed_walks  # short (vertex, label) keys in phases 2 and 3
     assert digest(run.walks, run.failed_walks) == (
         "6cd1f6c26f7ea98e3524bb03dfd547cbdd5ea35d8f58b02b4a7d22deacc4a7b2")
+
+
+def test_theory_wide_keys_run_budgeted():
+    # 1024 * 9 (vertex, label) keys take 14 bits, and phase 1's 360 448
+    # requests 19: grouping them packs 33 bits into uint64 words, while
+    # phases 2 and 3 fit in uint32. Phase 1 has short keys too.
+    p = StitchParams(length=8, target=1, growth=10.0, threshold=10.0,
+                     base_budget=40.0, surplus=1.01, mode="theory", fail_policy="tolerate")
+    run = run_budgeted(cycle_graph(1024), 0, p, seed=5)
+    assert run.failed_walks
+    assert digest(run.walks, run.failed_walks) == (
+        "9c020db1af7b06e0205cc096584b8f73522ab3fb06a36b956a65b35c6513b981")
 
 
 def test_uniform_stitching_with_failures():
