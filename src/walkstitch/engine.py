@@ -52,7 +52,6 @@ from .rng import INIT_STREAM, SERVE_STREAM, SHUFFLE_STREAM, derive_key, substrea
 _ENGINE_NS = 0x10  # namespace tag folded into every engine substream key
 _CHUNK = 1 << 18   # segments per slice of init_walks' draws and of walk assembly
 _STITCH_BYTES = 30  # resident bytes a segment at the peak of one stitch call
-_REDRAW_RUN = 1 << 12  # fewest bounds in a run of _draw_below after a rejection
 
 LAZINESS = ("none", "half")
 MODES = ("theory", "practical")
@@ -340,47 +339,26 @@ def _draw_below(gen: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
     numpy draws one 32-bit word per bound above 1 and nothing for a bound
     of 1, and maps word w to (w * bound) >> 32 (Lemire's multiply-shift),
     rejecting w and drawing again when the low 32 bits of w * bound fall
-    below 2^32 mod bound. Here one call draws the words of a run of bounds,
-    and the map runs vectorised. A word is rejected with probability below
-    bound / 2^32. At the first rejected word of a run the picks before it
-    stand: the state is rewound to just after their words, numpy's own call
-    draws that one pick, and a new run starts after it. The first run is the
-    whole array; a run after a rejection spans the mean gap between the
-    rejected words of the run before (at least _REDRAW_RUN bounds), and a
-    run without one doubles, so a rejection redoes about as many words as
-    were kept since the last one. A run whose rejected words lie closer
-    than _REDRAW_RUN bounds apart is drawn by numpy from the first one on.
+    below 2^32 mod bound. Here one call draws all the words, and the map
+    runs vectorised. A rejection has probability below bound / 2^32 a word;
+    on the rare slice that has one, the state is rewound and numpy's own
+    call draws the slice.
     """
-    picks = np.empty(bounds.size, dtype=np.uint64)
-    a, run = 0, bounds.size
-    while a < bounds.size:
-        rest, product = bounds[a:a + run], picks[a:a + run]
-        state = gen.bit_generator.state
-        k = int(np.count_nonzero(rest > 1))
-        words = gen.integers(0, 1 << 32, size=k, dtype=np.uint32)
-        if k < rest.size:   # a zero word maps to pick 0 under bound 1
-            words, drawn = np.zeros(rest.size, dtype=np.uint32), words
-            words[rest > 1] = drawn
-        np.multiply(words, rest, out=product, dtype=np.uint64)
-        del words   # at most 16 bytes a bound stay live: bound, word, pick
-        low = product.view(np.uint32)[_LOW_HALF::2]
-        near = np.flatnonzero(low < rest)   # 2^32 mod bound < bound
-        rejected = near[low[near] < np.uint64(1 << 32) % rest[near]]
-        product >>= np.uint64(32)
-        if not rejected.size:
-            a += rest.size
-            run *= 2
-            continue
-        j = int(rejected[0])
+    state = gen.bit_generator.state
+    k = int(np.count_nonzero(bounds > 1))
+    words = gen.integers(0, 1 << 32, size=k, dtype=np.uint32)
+    if k < bounds.size:   # a zero word maps to pick 0 under bound 1
+        words, drawn = np.zeros(bounds.size, dtype=np.uint32), words
+        words[bounds > 1] = drawn
+    product = np.multiply(words, bounds, dtype=np.uint64)
+    del words   # at most 16 bytes a bound stay live: bound, word, product
+    low = product.view(np.uint32)[_LOW_HALF::2]
+    near = np.flatnonzero(low < bounds)   # 2^32 mod bound < bound
+    if near.size and np.any(low[near] < np.uint64(1 << 32) % bounds[near]):
         gen.bit_generator.state = state
-        gen.integers(0, 1 << 32, size=int(np.count_nonzero(rest[:j] > 1)), dtype=np.uint32)
-        # rejected words this run lay about `spacing` bounds apart
-        spacing = rest.size // rejected.size
-        stop = j + 1 if spacing >= _REDRAW_RUN else rest.size
-        product[j:stop] = gen.integers(0, rest[j:stop])
-        a += stop
-        run = max(spacing, _REDRAW_RUN)
-    return picks.view(np.int64)
+        return gen.integers(0, bounds)
+    product >>= np.uint64(32)
+    return product.view(np.int64)
 
 
 @dataclass

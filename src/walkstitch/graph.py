@@ -68,12 +68,20 @@ class Graph:
 
     def has_edges(self, u, v) -> np.ndarray:
         """Elementwise: is (u[i], v[i]) an edge? Ids outside [0, n) are non-edges.
-        Looks u * n + v up among the edge keys with np.isin, which on many
-        queries over a small key range marks the edge keys in a table instead
-        of searching for each query."""
+        Looks u * n + v up among the edge keys, which strictly increase on any
+        graph that passes check_invariants: by np.isin's table of the key
+        range when that range is within numpy's own bound of 6 times the
+        queries and edge keys together (many queries on a small graph), and
+        otherwise by binary search, which np.isin would replace by a sort of
+        both arrays."""
         u, v = (np.asarray(x).astype(np.int64) for x in (u, v))
         inside = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < self.n)
-        return inside & np.isin(u * self.n + v, self._edge_keys())
+        keys = u * self.n + v
+        edge_keys = self._edge_keys()
+        if edge_keys.size and edge_keys[-1] - edge_keys[0] > 6 * (keys.size + edge_keys.size):
+            pos = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
+            return inside & (edge_keys[pos] == keys)
+        return inside & np.isin(keys, edge_keys, kind="table")
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.has_edges([u], [v])[0])

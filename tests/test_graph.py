@@ -104,6 +104,24 @@ class TestEdgeQueries:
         assert not g.has_edges(u, v).any()
         assert not g.has_edge(0, 6)
 
+    @pytest.mark.parametrize("queries, table", [(50, False), (20_000, True)],
+                             ids=["search", "table"])
+    def test_search_and_table_agree_with_rows(self, monkeypatch, queries, table):
+        # cycle_graph(200)'s edge keys span about 40 000: within 6 times the
+        # queries and 400 edge keys for the many queries, not for the few
+        g = cycle_graph(200)
+        rng = np.random.default_rng(queries)
+        u = rng.integers(-2, g.n + 2, size=queries)
+        v = np.where(rng.random(queries) < 0.5, u + rng.choice([-1, 1], size=queries),
+                     rng.integers(-2, g.n + 2, size=queries))
+        want = [0 <= a < g.n and 0 <= b < g.n and b in g.neighbors_of(a)
+                for a, b in zip(u, v)]
+        calls = []
+        isin = np.isin
+        monkeypatch.setattr(np, "isin", lambda *a, **kw: calls.append(kw) or isin(*a, **kw))
+        assert g.has_edges(u, v).tolist() == want
+        assert calls == ([{"kind": "table"}] if table else [])
+
 
 class TestQuantities:
     def test_volume_c6_arc(self):
