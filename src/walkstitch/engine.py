@@ -21,17 +21,19 @@ Two operating modes:
 
 Every level of segments is kept in (start vertex, first label) order, so the
 stock of each serving key lies contiguous, in an order that does not depend
-on where its segments go, and is served as it lies.
+on where its segments go, and is served as it lies. A pass returns an
+immutable index tree, where a walk is its leaves' starts plus its end; it
+is built once, when it is returned.
 
 Randomness comes from one substream per purpose and step, keyed by the run
 seed: one per cycle draws every length-1 segment, one per (cycle, phase)
 draws which requests of the short keys fail in a phase where some key's
-stock runs short (and is not drawn in any other phase), and one shuffles
-the returned walks. A run is therefore replayable from its seed. Level 0
-is drawn from the generator's raw words (32-bit halves for the neighbor
-picks, mapped as numpy's bounded integers map them; the top bit of a 64-bit
-word for a lazy coin), so it is, word for word, what gen.integers(0,
-degrees) and gen.random() < 0.5 over all segments would draw.
+stock runs short (and is not drawn in any other phase), and in rooted runs
+one shuffles the returned walks. A run is therefore replayable from its
+seed. Level 0 is drawn from the generator's raw words (32-bit halves for
+the neighbor picks, mapped as numpy's bounded integers map them; the top
+bit of a 64-bit word for a lazy coin), so it is, word for word, what
+gen.integers(0, degrees) and gen.random() < 0.5 over all segments draw.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
@@ -361,34 +363,33 @@ def _draw_below(gen: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
     return product.view(np.int64)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StitchResult:
-    """Label-1 walks of one stitch pass, held as an index tree.
+    """Label-1 walks of one stitch pass, held as an immutable index tree.
 
-    Level 0 is the length-1 segments of init_walks, given by their endpoints
-    leaf_start and leaf_end. Phase j joins pairs of level j-1 segments into
-    level j segments; levels[j-1] holds the two child-index arrays of that
-    phase: the requester ids (left halves) and the server ids (right halves)
-    of every served request, in requester order. The finished walks are the
-    segments of the last level, row i starting at starts[i]. Walks are built
-    only for the rows asked for (`walks`), a leaf position at a time: one 1-D
-    gather per child array per level finds the leaf ids at a position, and
-    one more their vertices. `verts` builds all of them on first access.
+    Level 0 is the length-1 segments of init_walks, with starts leaf_start.
+    Phase j joins pairs of level j-1 segments into level j segments;
+    levels[j-1] holds the two child-index arrays of that phase: the
+    requester ids (left halves) and the server ids (right halves) of every
+    served request, in requester order. The finished walks, the segments of
+    the last level, lie in tree order (grouped by start vertex): row i runs
+    from starts[i] through its leaves' starts to ends[i]. `walks` builds the
+    rows asked for, `verts` all of them.
 
     failed lists, per phase, the label-1 requesters whose request went
-    unserved: (phase, their segment ids at level phase-1, their start
-    vertices). `failed_chunks` builds their prefixes. Counts are not kept
-    here: vertex v started budgets[v, 0] label-1 walks, and the rounds are
-    in the cluster's ledger.
+    unserved: (phase, their segment ids at level phase-1, their start and
+    end vertices); `failed_chunks` builds their prefixes. Counts are not
+    kept here: vertex v started budgets[v, 0] label-1 walks, and the rounds
+    are in the cluster's ledger.
 
     Every array here is int32, and so are the ids and walks built from it.
     """
 
     leaf_start: np.ndarray            # (S,) int32
-    leaf_end: np.ndarray              # (S,) int32
     levels: List[Tuple[np.ndarray, np.ndarray]]   # per phase, int32 child ids
     starts: np.ndarray                # (K,) int32 start vertex of each finished walk
-    failed: List[Tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
+    ends: np.ndarray                  # (K,) int32 end vertex of each finished walk
+    failed: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]
 
     def _leaf_columns(self, rows: np.ndarray, level: int) -> List[np.ndarray]:
         """Leaf segment ids under segments `rows` of `level`, one flat intp
@@ -410,14 +411,13 @@ class StitchResult:
         level = len(self.levels) if level is None else level
         return np.stack(self._leaf_columns(rows, level), axis=1, dtype=np.int32)
 
-    def walks(self, rows: np.ndarray, level: int | None = None) -> np.ndarray:
-        """Vertex sequences of segments `rows` of `level` (default: the
-        finished walks): int32, shape (len(rows), 2**level + 1). The rows
-        are built in slices of about _CHUNK leaves, a column at a time: each
-        leaf position fills one row of a (width, slice) block by a 1-D
-        gather, and the block's transpose is written out, so the leaf ids
-        and the block beside the output stay O(_CHUNK)."""
-        level = len(self.levels) if level is None else level
+    def _segments(self, rows: np.ndarray, level: int, ends: np.ndarray) -> np.ndarray:
+        """Vertex sequences of segments `rows` of `level`, which end at
+        `ends`: int32, shape (len(rows), 2**level + 1). They are built in
+        slices of about _CHUNK leaves, a column at a time: each leaf position
+        fills one row of a (width, slice) block with its leaves' starts by a
+        1-D gather, `ends` fill the last, and the block's transpose is
+        written out, so the leaf ids and the block stay O(_CHUNK)."""
         rows = np.asarray(rows)
         width = (1 << level) + 1
         out = np.empty((rows.size, width), dtype=np.int32)
@@ -430,28 +430,33 @@ class StitchResult:
             # the tree), so "clip" clips nothing; it spares take a buffer
             for j, ids in enumerate(cols):
                 np.take(self.leaf_start, ids, out=part[j], mode="clip")
-            np.take(self.leaf_end, cols[-1], out=part[-1], mode="clip")
+            part[-1] = ends[a:a + step]
             out[a:a + step] = part.T
         return out
 
+    def walks(self, rows: np.ndarray) -> np.ndarray:
+        """Finished walks `rows`, in the given order: (len(rows), length+1)."""
+        return self._segments(rows, len(self.levels), np.take(self.ends, rows))
+
     @cached_property
     def verts(self) -> np.ndarray:
-        """All finished walks, (K, length+1), in row order."""
+        """All finished walks, (K, length+1), in tree order."""
         return self.walks(np.arange(self.starts.size, dtype=np.int32))
+
+    def _prefixes(self, roots: np.ndarray | None = None) -> List[Tuple[int, np.ndarray]]:
+        """(phase, failed label-1 prefixes of length 2**(phase-1)), only
+        those from `roots` when given; a phase left without any is dropped."""
+        chunks = []
+        for phase, ids, starts, ends in self.failed:
+            keep = slice(None) if roots is None else np.isin(starts, roots)
+            if ids[keep].size:
+                chunks.append((phase, self._segments(ids[keep], phase - 1, ends[keep])))
+        return chunks
 
     @cached_property
     def failed_chunks(self) -> List[Tuple[int, np.ndarray]]:
         """(phase, failed label-1 prefixes of length 2**(phase-1))."""
-        return [(phase, self.walks(ids, phase - 1)) for phase, ids, _ in self.failed]
-
-    def reorder(self, order: np.ndarray) -> None:
-        """Make row i of the finished walks the former row order[i]."""
-        if self.levels:
-            self.levels[-1] = tuple(a[order] for a in self.levels[-1])
-        else:
-            self.leaf_start, self.leaf_end = self.leaf_start[order], self.leaf_end[order]
-        self.starts = self.starts[order]
-        self.__dict__.pop("verts", None)
+        return self._prefixes()
 
 
 def _group_by_key(key: np.ndarray, n_keys: int) -> np.ndarray:
@@ -546,10 +551,10 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
     is what the modelled cluster would ship; the simulation itself moves
     only indices.
     """
-    leaf_start, leaf_end, labels = init_walks(g, budgets, params, master_seed, cycle)
-    start, end = leaf_start, leaf_end
+    leaf_start, end, labels = init_walks(g, budgets, params, master_seed, cycle)
+    start = leaf_start
     levels: List[Tuple[np.ndarray, np.ndarray]] = []
-    failed: List[Tuple[int, np.ndarray, np.ndarray]] = []
+    failed: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
     theory = params.mode == "theory"
     key_span = params.length + 1
     n_keys = g.n * key_span if theory else g.n
@@ -603,7 +608,7 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
             failed_req = req_idx[lost]
             first_label = failed_req[labels[failed_req] == 1]
             if first_label.size:
-                failed.append((phase, first_label, start[first_label]))
+                failed.append((phase, first_label, start[first_label], end[first_label]))
 
         # the served request of rank r in key k gets server sfirst[k] + r;
         # srv_of holds each request's server in requester order
@@ -630,8 +635,8 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
         levels.append((served_req, served_srv))
 
     assert np.all(labels == 1)
-    return StitchResult(leaf_start=leaf_start, leaf_end=leaf_end, levels=levels,
-                        starts=start, failed=failed)
+    return StitchResult(leaf_start=leaf_start, levels=levels, starts=start, ends=end,
+                        failed=failed)
 
 
 def cycle_plan(target: int, growth: float) -> Tuple[int, int]:
@@ -741,16 +746,17 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
         budget_total = int(budgets.sum())
         attempted = int(budgets[roots_arr, 0].sum())
         res = stitch(g, budgets, params, cluster, seed, cycle=i)
-        rooted = res.walks(np.flatnonzero(np.isin(res.starts, roots_arr)))
+        rows = np.flatnonzero(np.isin(res.starts, roots_arr))
         if i > calib:
-            failed_walks = [(phase, res.walks(ids[np.isin(starts, roots_arr)], phase - 1))
-                            for phase, ids, starts in res.failed]
-            failed_walks = [(p, c) for p, c in failed_walks if c.shape[0]]
+            # rows are grouped by root; shuffle them so that any prefix of
+            # the returned walks is an unbiased uniform subsample
+            rows = rows[substream(seed, SHUFFLE_STREAM, i).permutation(rows.size)]
+            failed_walks = res._prefixes(roots_arr)
+        rooted = res.walks(rows)
         # the whole tree goes before the next cycle's stitch allocates its own
         del res
         stats.append(CycleStats(cycle=i, budget_total=budget_total,
-                                rooted_attempted=attempted,
-                                rooted_ok=int(rooted.shape[0])))
+                                rooted_attempted=attempted, rooted_ok=int(rows.size)))
         if i <= calib:
             if rooted.shape[0] == 0:
                 raise EngineError(f"all rooted walks failed in calibration cycle {i}")
@@ -760,14 +766,10 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
                                   kind=KIND_UPDATE)
 
     final = stats[-1]
-    # rows are grouped by root; shuffle so that any prefix of the returned
-    # walks is an unbiased uniform subsample
-    shuffle = substream(seed, SHUFFLE_STREAM, calib + 1)
-    rooted_walks = rooted[shuffle.permutation(rooted.shape[0])]
     metrics = _run_metrics(cluster.ledger.since(first_round),
                            [s.budget_total for s in stats], params.target,
                            final.rooted_ok, final.rooted_attempted)
-    return RunResult(walks=rooted_walks, roots=tuple(int(r) for r in roots_arr),
+    return RunResult(walks=rooted, roots=tuple(int(r) for r in roots_arr),
                      params=params, metrics=metrics, cycle_stats=stats,
                      failed_walks=failed_walks, budgets=budgets)
 
@@ -860,7 +862,8 @@ def uniform_stitching(g: Graph, b0_per_degree: float, length: int,
     """Single-cycle baseline: every vertex gets budget
     ceil(b0_per_degree * degree(v) * tau^(3k-3)) on every label k, i.e. the
     stationary-proportional allocation that yields walks from all vertices
-    at once. Serving is pooled; failures are tolerated and reported."""
+    at once. Serving is pooled; failures are tolerated and reported. Every
+    walk is built in the call (result.verts), grouped by start vertex."""
     if not 1 <= b0_per_degree < math.inf:
         raise ParameterError("b0_per_degree must be finite and >= 1")
     if not 1 <= tau < math.inf:
@@ -874,12 +877,9 @@ def uniform_stitching(g: Graph, b0_per_degree: float, length: int,
     total = int(budgets.sum())
     cluster = cluster or Cluster()
     first_round = cluster.ledger.superstep_count
-    run_seed = derive_key(seed, _ENGINE_NS, 0)
-    res = stitch(g, budgets, params, cluster, run_seed, cycle=1)
-    shuffle = substream(run_seed, SHUFFLE_STREAM, 1)
-    res.reorder(shuffle.permutation(res.starts.size))
-    verts = res.verts  # every walk is returned: build them now, in the shuffled order
-    ok_per_vertex = np.bincount(verts[:, 0], minlength=g.n)
+    res = stitch(g, budgets, params, cluster, derive_key(seed, _ENGINE_NS, 0), cycle=1)
+    # every walk is returned: build them now, once, in tree order
+    ok_per_vertex = np.bincount(res.verts[:, 0], minlength=g.n)
     attempted = int(budgets[:, 0].sum())
     metrics = _run_metrics(cluster.ledger.since(first_round), [total], attempted,
                            int(ok_per_vertex.sum()), attempted)

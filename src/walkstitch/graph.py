@@ -176,8 +176,7 @@ def load_edge_list(source) -> Graph:
     if not us:
         raise GraphError("empty graph: no edges after ingestion")
     edges = np.column_stack([np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)])
-    id_map = tuple(orig for orig, _ in sorted(remap.items(), key=lambda kv: kv[1]))
-    return from_edge_array(n, edges, id_map=id_map)
+    return from_edge_array(n, edges, id_map=tuple(remap))   # keys in id order
 
 
 def volume(g: Graph, s: Iterable[int]) -> int:

@@ -3,9 +3,9 @@
 A substream is a PCG64 generator whose key is derived from (master seed,
 context keys...) with a SplitMix64-style mixer. The engine keys one
 substream per purpose and step (init per cycle, the failed requests per
-cycle and phase where a stock runs short, the final shuffle), never per
-vertex, so a run draws only a handful of generators and is identical
-whenever it is repeated with the same seed.
+cycle and phase where a stock runs short, a rooted run's final shuffle),
+never per vertex, so a run draws only a handful of generators and is
+identical whenever it is repeated with the same seed.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import pytest
 
 from walkstitch import engine
+from walkstitch.rng import substream
 
 
 @pytest.fixture
@@ -27,3 +28,16 @@ def calibration(monkeypatch):
     monkeypatch.setattr(engine, "stitch", spy_stitch)
     monkeypatch.setattr(engine, "update_budgets", spy_update)
     return seen
+
+
+@pytest.fixture
+def substream_calls(monkeypatch):
+    """The key of every substream the engine draws, in order."""
+    calls = []
+
+    def counting_substream(*args):
+        calls.append(args)
+        return substream(*args)
+
+    monkeypatch.setattr(engine, "substream", counting_substream)
+    return calls

@@ -15,7 +15,7 @@ from walkstitch.engine import (ParameterError, StitchFailure,
 from walkstitch.fixtures import (complete_graph, cycle_graph, gnp, path_graph,
                                  star_graph, two_cliques)
 from walkstitch.mpc import Cluster
-from walkstitch.rng import INIT_STREAM, substream
+from walkstitch.rng import INIT_STREAM, SERVE_STREAM, substream
 
 # chi-square 0.999 quantiles by degrees of freedom
 CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515, 14: 36.123,
@@ -390,13 +390,16 @@ class TestStitch:
     def test_index_tree_and_walks_are_int32(self, mode):
         g = cycle_graph(8)
         p = desk_params(length=8, target=1, base_budget=20.0, tau=1.01, mode=mode)
-        res = stitch(g, initial_budgets(g, p), p, Cluster(), master_seed=3)
+        budgets = initial_budgets(g, p)
+        res = stitch(g, budgets, p, Cluster(), master_seed=3)
         assert res.failed  # stocks run short: the failed prefixes are built too
+        _, leaf_end, _ = init_walks(g, budgets, p, master_seed=3)
         rows = np.arange(res.starts.size)
         arrays = [a for pair in res.levels for a in pair] + [
-            res.starts, res.leaf_ids(rows), res.leaf_ids(rows[:5], 0), res.leaf_ids(rows[:5], 1),
-            res.walks(rows), res.walks(rows[:5], 2), res.verts]
-        arrays += [a for _, ids, starts in res.failed for a in (ids, starts)]
+            res.starts, res.ends, res.leaf_ids(rows), res.leaf_ids(rows[:5], 0),
+            res.leaf_ids(rows[:5], 1), res.walks(rows),
+            res._segments(rows[:5], 2, leaf_end[res.leaf_ids(rows[:5], 2)[:, -1]]), res.verts]
+        arrays += [a for _, *record in res.failed for a in record]
         arrays += [chunk for _, chunk in res.failed_chunks]
         assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)
 
@@ -404,27 +407,31 @@ class TestStitch:
     def test_walk_slices_match_one_call(self, monkeypatch, chunk):
         g = cycle_graph(8)
         p = desk_params(length=8, target=1, base_budget=20.0, tau=1.01)
-        res = stitch(g, initial_budgets(g, p), p, Cluster(), master_seed=3)
+        budgets = initial_budgets(g, p)
+        res = stitch(g, budgets, p, Cluster(), master_seed=3)
         assert len(res.levels) == 3
+        _, leaf_end, _ = init_walks(g, budgets, p, master_seed=3)
         rng = np.random.default_rng(chunk)
         cases = []
         for level in (0, 1, 3):
             size = res.levels[level - 1][0].size if level else res.leaf_start.size
             rows = rng.permutation(size)[: size // 2]
-            cases.append((rows, level, one_call_walks(res, rows, level)))
+            cases.append((rows, level, one_call_walks(res, rows, level, leaf_end)))
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         for rows, level, ref in cases:
             assert rows.size > chunk
-            assert np.array_equal(res.walks(rows, level), ref)
+            assert np.array_equal(res._segments(rows, level, ref[:, -1]), ref)
+        assert np.array_equal(res.walks(rows), ref)   # the last case: finished walks
 
 
-def one_call_walks(res, rows, level):
-    """Segments `rows` of `level` built from one leaf_ids call over all rows:
-    the walks StitchResult.walks must return slice by slice."""
+def one_call_walks(res, rows, level, leaf_end):
+    """Segments `rows` of `level` built from one leaf_ids call over all rows,
+    with the level-0 ends `leaf_end` of init_walks: the segments that
+    StitchResult builds slice by slice."""
     ids = res.leaf_ids(rows, level)
     out = np.empty((ids.shape[0], ids.shape[1] + 1), dtype=np.int32)
     out[:, :-1] = res.leaf_start[ids]
-    out[:, -1] = res.leaf_end[ids[:, -1]]
+    out[:, -1] = leaf_end[ids[:, -1]]
     return out
 
 
@@ -535,14 +542,15 @@ class TestDrawFailures:
 def all_leaf_ids(res) -> np.ndarray:
     """Leaf ids under every finished walk and every failed prefix of a pass."""
     parts = [res.leaf_ids(np.arange(res.starts.size)).ravel()]
-    parts += [res.leaf_ids(ids, phase - 1).ravel() for phase, ids, _ in res.failed]
+    parts += [res.leaf_ids(ids, phase - 1).ravel() for phase, ids, *_ in res.failed]
     return np.concatenate(parts)
 
 
-def assert_leaves_join(res) -> None:
-    """Each leaf of a walk starts where the one before it ends."""
+def assert_leaves_join(res, leaf_end) -> None:
+    """Each leaf of a walk starts where the one before it ends, given the
+    level-0 ends `leaf_end` of init_walks."""
     ids = res.leaf_ids(np.arange(res.starts.size))
-    assert np.array_equal(res.leaf_end[ids[:, :-1]], res.leaf_start[ids[:, 1:]])
+    assert np.array_equal(leaf_end[ids[:, :-1]], res.leaf_start[ids[:, 1:]])
     assert np.array_equal(res.leaf_start[ids[:, 0]], res.starts)
 
 
@@ -553,19 +561,27 @@ class TestSegmentDisjointness:
     def test_tolerate_run_with_failures(self):
         g = cycle_graph(8)
         p = desk_params(length=8, target=1, base_budget=20.0, tau=1.0)
-        res = stitch(g, initial_budgets(g, p), p, Cluster(), master_seed=3)
+        budgets = initial_budgets(g, p)
+        res = stitch(g, budgets, p, Cluster(), master_seed=3)
         assert res.failed  # no surplus: stocks run short in every phase
         leaves = all_leaf_ids(res)
         assert np.unique(leaves).size == leaves.size
-        assert_leaves_join(res)
+        assert_leaves_join(res, init_walks(g, budgets, p, master_seed=3)[1])
         assert validate_walks(g, res.verts, lazy=False)
 
-    def test_uniform_stitching(self):
+    def test_uniform_stitching(self, monkeypatch):
+        level0 = []   # what the engine's init_walks call returns
+
+        def spy_init_walks(*args, **kwargs):
+            level0.append(init_walks(*args, **kwargs))
+            return level0[-1]
+
+        monkeypatch.setattr(engine, "init_walks", spy_init_walks)
         res = uniform_stitching(gnp(40, 0.2, seed=2), 3, 8, seed=4, tau=1.0).result
         assert res.failed
         leaves = all_leaf_ids(res)
         assert np.unique(leaves).size == leaves.size
-        assert_leaves_join(res)
+        assert_leaves_join(res, level0[0][1])
 
 
 def first_leaves(res, level: int) -> np.ndarray:
@@ -660,18 +676,6 @@ class TestRunBudgeted:
         assert np.array_equal(r1.walks, r2.walks)
         assert r1.metrics == r2.metrics
         assert not np.array_equal(r1.walks, run_budgeted(g, 2, p, seed=34).walks)
-
-    @pytest.fixture
-    def substream_calls(self, monkeypatch):
-        """The key of every substream the engine draws, in order."""
-        calls = []
-
-        def counting_substream(*args):
-            calls.append(args)
-            return substream(*args)
-
-        monkeypatch.setattr(engine, "substream", counting_substream)
-        return calls
 
     def test_one_substream_per_cycle_and_phase(self, substream_calls):
         # init draws from one generator per cycle and, with a short key in
@@ -860,15 +864,15 @@ class TestUniformStitching:
         # B(v,k) = 3 for both vertices and both labels
         assert res.total_budget == 12
 
-    def test_length_one_returns_shuffled_single_steps(self):
-        # one level only: the final shuffle reorders the leaves themselves
+    def test_length_one_returns_single_steps_in_tree_order(self):
+        # one level only: the walks are the leaves themselves, in tree order
         g = cycle_graph(8)
         uni = uniform_stitching(g, 2, 1, seed=3, tau=1.0)
         res = uni.result
         assert res.levels == [] and not res.failed
         assert res.verts.shape == (32, 2)          # budget 2 * degree 2 on 8 vertices
         assert np.array_equal(res.verts[:, 0], res.starts)
-        assert np.any(np.diff(res.starts) < 0)     # no longer grouped by start
+        assert np.all(np.diff(res.starts) >= 0)    # grouped by start, not shuffled
         assert validate_walks(g, res.verts, lazy=False)
         assert np.array_equal(uni.ok_per_vertex, np.full(8, 4))
 
@@ -877,6 +881,13 @@ class TestUniformStitching:
         res = uniform_stitching(g, 20, 4, seed=5, tau=1.3)
         assert np.all(res.ok_per_vertex > 0)
         assert validate_walks(g, res.result.verts, lazy=False)
+
+    def test_one_init_and_one_serve_substream_per_short_phase(self, substream_calls):
+        # the walks are returned in tree order: no shuffle substream is drawn
+        res = uniform_stitching(gnp(40, 0.2, seed=2), 3, 8, seed=4, tau=1.0).result
+        assert {phase for phase, *_ in res.failed} == {1, 2, 3}   # every phase is short
+        assert [key[1:] for key in substream_calls] == (
+            [(INIT_STREAM, 1)] + [(SERVE_STREAM, 1, phase) for phase in (1, 2, 3)])
 
 
 class TestValidateWalks:
