@@ -1,7 +1,7 @@
 """Deterministic graph builders used by tests, oracle checks, and the CLI.
 
-Each takes its size (and `gnp` a seed) and returns a Graph on vertices
-0..n-1; a size too small for the shape raises ValueError.
+Each takes its size (and `gnp` and `gnm` a seed) and returns a Graph on
+vertices 0..n-1; a size too small for the shape raises ValueError.
 """
 
 from __future__ import annotations
@@ -71,3 +71,25 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"G({n},{p}) draw produced no edges; raise p or reseed")
     return from_edge_array(n, np.vstack(rows))
 
+
+
+def gnm(n: int, m: int, seed: int) -> Graph:
+    """Uniform G(n, m): m distinct edges, deterministic for a given seed.
+
+    Vertex pairs are drawn uniformly and the distinct non-loop pairs are
+    kept, deduplicated by a sort; the shortfall is drawn again until there
+    are m. This is the law of drawing pairs one at a time until m distinct
+    edges are seen, which is uniform over the m-edge graphs. O(m) draws
+    while m is well below n(n-1)/2, where gnp would draw all n^2 pairs.
+    """
+    if not 1 <= m <= n * (n - 1) // 2:
+        raise ValueError(f"G({n},{m}) needs 1 <= m <= n(n-1)/2")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    keys = np.empty(0, dtype=np.int64)    # u * n + v with u < v, sorted, distinct
+    while keys.size < m:
+        u, v = rng.integers(0, n, size=(2, m - keys.size))
+        drawn = np.minimum(u, v) * n + np.maximum(u, v)
+        keys = np.concatenate([keys, drawn[u != v]])
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+    return from_edge_array(n, np.column_stack(np.divmod(keys, n)))

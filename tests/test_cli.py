@@ -53,6 +53,16 @@ class TestIngest:
         assert run_cli("ingest", bad, tmp_path / "g.lwg") == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, line", [
+        ("0 1\n+5 1\n", 2), ("0 1\n-0 1\n", 2), ("0 1\n1_0 2\n", 2),
+        ("0 1\n\u0663 1\n", 2), ("0 1\n0\xa01\n", 2), ("\ufeff0 1\n1 2\n", 1)],
+        ids=["plus", "minus-zero", "underscore", "arabic-digit", "nbsp", "bom"])
+    def test_forms_outside_the_grammar_exit_2(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        assert run_cli("ingest", bad, tmp_path / "g.lwg") == 2
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
     def test_non_utf8_edge_list_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"0 1\n1 \xff\n")

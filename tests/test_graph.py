@@ -1,12 +1,103 @@
+import io
+import tracemalloc
+from fractions import Fraction
+from typing import Dict
+from unittest import mock
+
 import numpy as np
 import pytest
-from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkstitch import (EdgeListParseError, GraphError, UndefinedConductanceError,
-                        boundary_size, conductance, load_cache, load_edge_list,
+                        boundary_size, conductance, graph, load_cache, load_edge_list,
                         save_cache, volume)
-from walkstitch.fixtures import cycle_graph, gnp, path_graph, star_graph, two_cliques
-from walkstitch.graph import from_edge_array
+from walkstitch.fixtures import cycle_graph, gnm, gnp, path_graph, star_graph, two_cliques
+from walkstitch.graph import Graph, from_edge_array
+
+
+def _reference_load_edge_list(source) -> Graph:
+    """The per-line parser that load_edge_list replaced, kept as its oracle.
+    It reads each line with str.split() and int(), so it also accepts the
+    signs, underscores, non-ASCII digits and non-ASCII whitespace that the
+    grammar of load_edge_list rejects."""
+    lines = io.StringIO(source) if isinstance(source, str) else source
+    remap: Dict[int, int] = {}
+    us: list[int] = []
+    vs: list[int] = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(lineno, f"expected 2 tokens, got {len(tokens)}")
+        try:
+            a, b = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise EdgeListParseError(lineno, f"non-integer token in {tokens!r}") from None
+        if not (0 <= a < 1 << 64 and 0 <= b < 1 << 64):
+            raise EdgeListParseError(lineno, "vertex id outside [0, 2^64)")
+        for x in (a, b):
+            if x not in remap:
+                remap[x] = len(remap)
+        if a == b:
+            continue
+        us.append(remap[a])
+        vs.append(remap[b])
+    if not remap:
+        raise GraphError("empty graph: no vertices")
+    if not us:
+        raise GraphError("empty graph: no edges after ingestion")
+    edges = np.column_stack([np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)])
+    return from_edge_array(len(remap), edges, id_map=tuple(remap))
+
+
+def _outcome(parse, source):
+    try:
+        return parse(source)
+    except GraphError as exc:
+        return exc
+
+
+def assert_same_graph(got: Graph, want: Graph):
+    assert (got.n, got.m, got.id_map) == (want.n, want.m, want.id_map)
+    for name in ("offsets", "neighbors", "degrees"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+# the ASCII whitespace str.split() knows; a lone \r stays inside a str's line
+SEPARATORS = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
+PAD = st.text(st.sampled_from(SEPARATORS), max_size=2)
+SEP = st.text(st.sampled_from(SEPARATORS), min_size=1, max_size=3)
+COMMENT = st.tuples(PAD, st.text(st.sampled_from("# 01x\t-"), max_size=6)).map(
+    lambda t: t[0] + "#" + t[1])
+MALFORMED = st.sampled_from(["x 1", "1", "1 2 3", "-1 2", "1 2 # c", "1.5 2", "0 1e3",
+                             "\x00 1", "1 -", "0x1 2", "1#", f"{1 << 64} 1",
+                             f"3\t{1 << 64:025d}", "1 " + "9" * 20, "2 1" + "0" * 20])
+
+
+@st.composite
+def edge_lists(draw) -> str:
+    """ASCII edge lists: data lines (self-loops, duplicates, ids zero-padded
+    to 25 digits, up to 10^6 or up to 2^64 - 1), comments after separators,
+    blank lines, LF and CRLF endings, and perhaps one malformed line
+    anywhere, 2^64 among them."""
+    small = st.integers(0, 9)
+    wide = (st.integers(0, (1 << 64) - 1), st.just((1 << 64) - 1))
+    ids = st.one_of(small, small, small, *(wide if draw(st.booleans()) else
+                                           (st.integers(0, 10 ** 6),)))
+    vertex = st.tuples(ids, st.integers(0, 25)).map(lambda t: f"{t[0]:0{t[1]}d}")
+    data_line = st.tuples(PAD, vertex, SEP, vertex, PAD).map("".join)
+    size = draw(st.integers(0, 40))
+    lines = draw(st.lists(st.one_of(data_line, data_line, data_line, COMMENT, PAD),
+                          min_size=size, max_size=size))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(MALFORMED))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(a + b for a, b in zip(lines, ends)) + draw(st.sampled_from(["", "1 2"]))
 
 
 class TestLoadEdgeList:
@@ -57,6 +148,83 @@ class TestLoadEdgeList:
     def test_adjacency_sorted_and_symmetric(self):
         g = gnp(40, 0.15, seed=5)
         g.check_invariants()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(text=edge_lists(), form=st.sampled_from(["str", "file", "lines"]),
+           block=st.sampled_from([1, 6, 64, graph._BLOCK_BYTES]))
+    def test_matches_reference(self, text, form, block):
+        # the same Graph, or the same error on the same line, from each
+        # source form and with blocks cut short
+        want = _outcome(_reference_load_edge_list, text)
+        source = {"str": text, "file": io.StringIO(text), "lines": text.split("\n")}[form]
+        with mock.patch.object(graph, "_BLOCK_BYTES", block):
+            got = _outcome(load_edge_list, source)
+        if isinstance(want, GraphError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert_same_graph(got, want)
+
+    @pytest.mark.parametrize("line", ["+5 1", "-0 1", "1_0 2", "\u0663 1", "0\xa01",
+                                      "0\x851", "1 \uff15"])
+    def test_forms_outside_the_grammar_name_their_line(self, line):
+        # int() and str.split() read these, so the per-line reference did
+        text = f"0 1\n{line}\n"
+        assert _reference_load_edge_list(text).m >= 1
+        with pytest.raises(EdgeListParseError, match="^line 2: "):
+            load_edge_list(text)
+
+    def test_long_zero_padded_ids_are_exact(self):
+        g = load_edge_list(f"{'0' * 24}1 {(1 << 64) - 1:025d}\n1 {10 ** 19}")
+        assert g.id_map == (1, (1 << 64) - 1, 10 ** 19)
+
+
+class TestIngestWorkingSet:
+    """The traced peak of load_edge_list, in bytes a line: the text's UTF-8
+    copy, the ids (16 a line), the remap's int64 arrays and from_edge_array's
+    keys; per-byte temporaries stay within one block."""
+
+    def test_peak_bytes_per_line(self):
+        lines = 200_000
+        ends = np.random.default_rng(5).integers(0, 100_000, size=(lines, 2))
+        text = "# sparse multigraph\n" + "".join(f"{a} {b}\n" for a, b in ends.tolist())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = load_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert g.m > 0.99 * lines
+        assert peak / lines <= 120.0
+
+
+class TestGnm:
+    @pytest.mark.parametrize("n, m", [(2, 1), (10, 45), (50, 300), (1000, 5000)])
+    def test_exactly_m_distinct_edges(self, n, m):
+        g = gnm(n, m, seed=3)
+        assert (g.n, g.m) == (n, m)
+        g.check_invariants()
+
+    def test_deterministic_per_seed(self):
+        a, b, c = gnm(200, 900, seed=1), gnm(200, 900, seed=1), gnm(200, 900, seed=2)
+        assert np.array_equal(a.offsets, b.offsets) and np.array_equal(a.neighbors, b.neighbors)
+        assert not np.array_equal(a.neighbors, c.neighbors)
+
+    def test_uniform_over_edge_sets(self):
+        # K4 has 6 edges and 15 two-edge subsets; chi-square over 3000 seeds
+        # against 14 degrees of freedom, whose 99.9% quantile is 36.1
+        counts = {}
+        for seed in range(3000):
+            g = gnm(4, 2, seed=seed)
+            key = tuple(g.neighbors.tolist()), tuple(g.degrees.tolist())
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 15
+        assert sum((c - 200) ** 2 / 200 for c in counts.values()) < 36.1
+
+    @pytest.mark.parametrize("n, m", [(10, 46), (2, 2), (5, 0)])
+    def test_impossible_sizes_raise(self, n, m):
+        with pytest.raises(ValueError):
+            gnm(n, m, seed=0)
 
 
 def unique_rows_reference(n, edges):
@@ -239,6 +407,15 @@ class TestCache:
         save_cache(cycle_graph(12), str(path))
         words = np.frombuffer(path.read_bytes(), dtype="<u8", offset=4).copy()
         words[word] = value
+        path.write_bytes(b"LWG1" + words.tobytes())
+        with pytest.raises(GraphError, match="corrupt"):
+            load_cache(str(path))
+
+    def test_repeated_original_id_raises_graph_error(self, tmp_path):
+        path = tmp_path / "g.lwg"
+        save_cache(load_edge_list("5 7\n7 9"), str(path))
+        words = np.frombuffer(path.read_bytes(), dtype="<u8", offset=4).copy()
+        words[-1] = words[-3]    # id map (5, 7, 9) becomes (5, 7, 5)
         path.write_bytes(b"LWG1" + words.tobytes())
         with pytest.raises(GraphError, match="corrupt"):
             load_cache(str(path))

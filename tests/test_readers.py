@@ -14,9 +14,12 @@ FUZZ = settings(max_examples=150, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 # Mostly-plausible text: digits, signs, separators, comment marks, the walk
-# status words and a byte that is not UTF-8, plus arbitrary bytes.
-TEXT_ALPHABET = list("0123456789 -+=#\t\n_.xe") + ["ok", "failed@2", "1" * 25,
-                                                   "\xff", "target", "root"]
+# status words and a byte that is not UTF-8, plus arbitrary bytes. The
+# separators include ASCII whitespace other than space and tab, and
+# non-ASCII whitespace (U+00A0) and a non-ASCII digit (U+0663), which
+# str.split() and int() read but the edge-list grammar rejects.
+TEXT_ALPHABET = list("0123456789 -+=#\t\n_.xe\r\x0b\x0c\xa0\u0663") + [
+    "ok", "failed@2", "1" * 25, "\xff", "target", "root"]
 
 
 def _to_bytes(text: str) -> bytes:
