@@ -19,11 +19,13 @@ Two operating modes:
   is the 2-adic valuation. This caps the surplus blow-up at tau^(log2 L)
   while keeping one factor of tau of serving headroom in every phase.
 
-Every level of segments is kept in (start vertex, first label) order, so the
-stock of each serving key lies contiguous, in an order that does not depend
-on where its segments go, and is served as it lies. A pass returns an
-immutable index tree, where a walk is its leaves' starts plus its end; it
-is built once, when it is returned.
+Every level of segments is kept in (start vertex, first label) order,
+implied by block counts: a level is its segments' end vertices plus the
+number of segments of each (start vertex, label) block, so the stock of
+each serving key lies contiguous, in an order that does not depend on where
+its segments go, and is served as it lies. A pass returns an immutable
+index tree, where a walk is its leaves' starts plus its end; it is built
+once, when it is returned.
 
 Randomness comes from one substream per purpose and step, keyed by the run
 seed: one per cycle draws every length-1 segment, one per (cycle, phase)
@@ -47,13 +49,15 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, sort_unique
 from .mpc import Cluster, KIND_REPLY, KIND_REQUEST, KIND_UPDATE, RoundLedger
 from .rng import INIT_STREAM, SERVE_STREAM, SHUFFLE_STREAM, derive_key, substream
 
 _ENGINE_NS = 0x10  # namespace tag folded into every engine substream key
-_CHUNK = 1 << 18   # segments per slice of init_walks' draws and of walk assembly
-_STITCH_BYTES = 30  # resident bytes a segment at the peak of one stitch call
+_CHUNK = 1 << 18   # segments or indices per slice of draws, gathers, scatters and walk assembly
+# resident bytes a segment at the peak of a stitch that builds all its walks:
+# 768 MB over 3.97e7 segments in acceptance criterion 9's all-vertex baseline
+_STITCH_BYTES = 21
 
 LAZINESS = ("none", "half")
 MODES = ("theory", "practical")
@@ -260,28 +264,31 @@ def update_budgets(walks: np.ndarray, exponent: int, params: StitchParams,
 
 
 def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
-               master_seed: int, cycle: int = 1
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+               master_seed: int, cycle: int = 1) -> np.ndarray:
     """Materialize an (n, length) int budget array as length-1 segments
     (uniform incident edges): budgets[v, k-1] segments start at v with label k.
 
-    Returns (start, end, labels): int32 start and end vertices and the int16
-    first step label of every segment, grouped by start vertex, then label.
-    With laziness="half" each segment is, independently with probability 1/2,
-    the self-step (v, v) instead of a uniform neighbor step.
+    Returns the int32 end vertex of every segment, in (start vertex, label)
+    order: the budgets' blocks, row by row, imply each segment's start and
+    label, so neither is stored. With laziness="half" each segment is,
+    independently with probability 1/2, the self-step (v, v) instead of a
+    uniform neighbor step.
 
-    These three arrays take 10 bytes a segment, and the stitch that follows
-    about _STITCH_BYTES in all; a run whose segments would need more than
+    The ends take 4 bytes a segment, and the stitch that follows about
+    _STITCH_BYTES in all; a run whose segments would need more than
     physical memory at that rate raises EngineError before anything is
     allocated. The neighbor picks, then the lazy coins, are drawn in slices
     of _CHUNK segments of this order, and the slices draw exactly the
     streams of one gen.integers(0, degrees) call over all segments and one
-    gen.random() < 0.5 call for the coins. A slice draws one 32-bit word per
-    segment whose start has degree above 1 and maps it to a neighbor in
+    gen.random() < 0.5 call for the coins. A slice's vertex runs come from
+    the cumulative per-vertex budget. It draws one 32-bit word per segment
+    whose start has degree above 1 and maps it to a neighbor in
     _draw_below, falling back to numpy's own call on the rare slice where a
-    word is rejected; a coin is the top bit of one raw 64-bit word. Slice
-    temporaries take at most 16 bytes a segment of the slice (a uint32
-    degree and word and a uint64 product, then an int64 pick and offset).
+    word is rejected, then gathers the neighbors from g.neighbors; a coin
+    is the top bit of one raw 64-bit word. Slice temporaries take at most
+    16 bytes a segment of the slice (a uint32 degree and word and a uint64
+    product, then an int64 pick and offset or neighbor), and each slice's
+    are freed before the next one draws.
     """
     if budgets.shape != (g.n, params.length):
         raise EngineError("budget array shape does not match graph/params")
@@ -297,37 +304,45 @@ def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
     if need > memory:
         raise EngineError(f"{total} segments need {need} bytes, more than the "
                           f"{memory} bytes of physical memory")
-    labels = np.repeat(
-        np.tile(np.arange(1, params.length + 1, dtype=np.int16), g.n), budgets.ravel())
-    starts = np.repeat(np.arange(g.n, dtype=np.int32), per_vertex)
+    first = np.concatenate(([0], np.cumsum(per_vertex)))   # vertex v's run starts here
     ends = np.empty(total, dtype=np.int32)
-    neighbors = g.neighbors.astype(np.int32)
     degrees = g.degrees.astype(np.uint32)
     gen = substream(master_seed, INIT_STREAM, cycle)
     # the generator keeps the unused half of a 64-bit draw across calls, and
     # a bound of 1 draws nothing, so slice by slice the picks are the ones a
     # single call would draw; every pick is drawn before the first coin
     for a in range(0, total, _CHUNK):
-        v = starts[a:a + _CHUNK]
-        # the slice holds the runs of vertices v[0]..v[-1], the end ones cut
-        lo, hi = int(v[0]), int(v[-1]) + 1
-        counts = np.diff(np.searchsorted(v, np.arange(lo, hi + 1, dtype=np.int32)))
+        lo, hi, counts = _slice_runs(first, a, min(a + _CHUNK, total))
         picks = _draw_below(gen, np.repeat(degrees[lo:hi], counts))
         picks += np.repeat(g.offsets[lo:hi], counts)
-        ends[a:a + _CHUNK] = neighbors[picks]
+        ends[a:a + _CHUNK] = g.neighbors[picks]
+        del picks   # before the next slice draws
     if params.lazy:
         # random() < 0.5 tests exactly the top bit of the 64-bit word it
         # takes; a clear bit stays, as end = start + (end - start) * bit
         for a in range(0, total, _CHUNK):
             b = min(a + _CHUNK, total)
+            lo, hi, counts = _slice_runs(first, a, b)
             move = gen.bit_generator.random_raw(b - a)
             move >>= np.uint64(63)
             move = move.astype(np.int32)
+            start = np.repeat(np.arange(lo, hi, dtype=np.int32), counts)
             end = ends[a:b]
-            end -= starts[a:b]
+            end -= start
             end *= move
-            end += starts[a:b]
-    return starts, ends, labels
+            end += start
+            del move, start
+    return ends
+
+
+def _slice_runs(first: np.ndarray, a: int, b: int) -> Tuple[int, int, np.ndarray]:
+    """(lo, hi, counts): positions [a, b) of a level whose vertex v runs
+    from first[v] to first[v + 1] hold counts[i] segments of vertex lo + i,
+    for lo <= v < hi; the end runs may be cut, and empty runs count 0."""
+    lo = int(np.searchsorted(first, a, side="right")) - 1
+    hi = int(np.searchsorted(first, b - 1, side="right"))
+    counts = np.minimum(first[lo + 1:hi + 1], b) - np.maximum(first[lo:hi], a)
+    return lo, hi, counts
 
 
 # where the low 32 bits of a uint64 sit in its pair of uint32 halves
@@ -367,14 +382,16 @@ def _draw_below(gen: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
 class StitchResult:
     """Label-1 walks of one stitch pass, held as an immutable index tree.
 
-    Level 0 is the length-1 segments of init_walks, with starts leaf_start.
+    Level 0 is the length-1 segments of init_walks, with starts leaf_start,
+    rebuilt from the budgets' blocks after the phase loop.
     Phase j joins pairs of level j-1 segments into level j segments;
     levels[j-1] holds the two child-index arrays of that phase: the
     requester ids (left halves) and the server ids (right halves) of every
     served request, in requester order. The finished walks, the segments of
     the last level, lie in tree order (grouped by start vertex): row i runs
     from starts[i] through its leaves' starts to ends[i]. `walks` builds the
-    rows asked for, `verts` all of them.
+    rows asked for, `verts` all of them. starts is rebuilt from the last
+    level's block counts, which hold label 1 only.
 
     failed lists, per phase, the label-1 requesters whose request went
     unserved: (phase, their segment ids at level phase-1, their start and
@@ -478,7 +495,8 @@ def _group_by_key(key: np.ndarray, n_keys: int) -> np.ndarray:
     word, view = (np.uint32, np.int32) if width <= 32 else (np.uint64, np.int64)
     packed = key.astype(word)
     packed <<= word(bits)
-    packed |= np.arange(key.size, dtype=word)
+    for a in range(0, key.size, _CHUNK):   # no position array beside the words
+        packed[a:a + _CHUNK] |= np.arange(a, min(a + _CHUNK, key.size), dtype=word)
     packed.sort()
     packed &= word((1 << bits) - 1)
     return packed.view(view)
@@ -503,7 +521,7 @@ def _draw_failures(short: np.ndarray, rcount: np.ndarray, scount: np.ndarray,
     need = np.where(flip, c, r - c)
     drawn = np.zeros(int(rcount.sum()), dtype=bool)
     while need.any():
-        pos = np.unique(np.repeat(first, need) + gen.integers(0, np.repeat(r, need)))
+        pos = sort_unique(np.repeat(first, need) + gen.integers(0, np.repeat(r, need)))
         pos = pos[~drawn[pos]]
         drawn[pos] = True
         need -= np.bincount(np.searchsorted(first, pos, side="right") - 1,
@@ -514,90 +532,136 @@ def _draw_failures(short: np.ndarray, rcount: np.ndarray, scount: np.ndarray,
     return drawn
 
 
+def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """values[idx], with idx cast to intp a slice of _CHUNK at a time: numpy
+    runs int32 indices through a buffered cast, several times slower, and
+    np.take copies all of them to intp first."""
+    out = np.empty(idx.size, dtype=values.dtype)
+    for a in range(0, idx.size, _CHUNK):
+        out[a:a + _CHUNK] = values[idx[a:a + _CHUNK].astype(np.intp, copy=False)]
+    return out
+
+
+def _scatter(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """out[idx] = values, with idx cast to intp a slice of _CHUNK at a time."""
+    for a in range(0, idx.size, _CHUNK):
+        out[idx[a:a + _CHUNK].astype(np.intp, copy=False)] = values[a:a + _CHUNK]
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions first[i] .. first[i] + counts[i] - 1 for each i in turn,
+    as one int32 array: the step into each range is written where it
+    begins, every other step is 1, and one in-place sum adds them up."""
+    keep = counts > 0
+    first, counts = first[keep], counts[keep]
+    out = np.ones(int(counts.sum()), dtype=np.int32)
+    if out.size:
+        out[0] = first[0]
+        out[(np.cumsum(counts) - counts)[1:]] = first[1:] - first[:-1] - counts[:-1] + 1
+        np.cumsum(out, dtype=np.int32, out=out)
+    return out
+
+
 def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster,
            master_seed: int, cycle: int = 1) -> StitchResult:
     """One full doubling pass over an (n, length) int budget array: init
     segments, then log2(length) phases.
 
-    A segment is carried as its start vertex, end vertex and first label
-    only. In each phase every requester asks the vertex at its end for a
-    segment, grouped by serving key: the vertex in practical mode, (vertex,
-    needed label) in theory mode. Every level is kept in (start, label)
-    order: init_walks emits level 0 that way, and each phase writes its new
-    segments in requester order, so a new segment takes its requester's
-    start and label. A key's stock is therefore one contiguous run of
-    segments whose order depends only on their starts, labels and the order
-    of their requesters, never on where they lead; the request of rank r in
-    a key takes the key's stock segment of rank r, a distinct segment drawn
-    as a fresh walk from the key. Each served pair becomes one segment of
-    the next level, recorded as a pair of child indices. When a key's stock
-    is short, fail_policy decides between aborting the run (on the smallest
-    short key) and serving a uniform subset of its requests: only then does
-    the phase draw its substream, to pick which requests of each short key
-    fail (_draw_failures). The failed requests are dropped from the key,
-    and the rest are served by rank as in a key with stock to spare. The
+    A level is carried as its segments' int32 end vertices and an (n, c)
+    array of block counts: the level's segments lie in (start vertex,
+    first label) order, and block (v, i) holds the counts[v, i] segments
+    that start at v with label i * length / c + 1. Level 0's counts are the
+    budgets, as init_walks emits it that way. In phase j, with s =
+    2^(j-1), the blocks of even columns (label 1 mod 2s) request and those
+    of odd columns (label s+1 mod 2s) serve, so both sides' positions are
+    ranges of block offsets. Every requester asks the vertex at its end for
+    a segment, grouped by serving key: the vertex in practical mode,
+    (vertex, needed label) in theory mode. A key's stock is its server
+    blocks, in position order, which depends only on the starts, labels
+    and order of the level's segments, never on where they lead; the
+    request of rank r in a key takes the key's stock segment of rank r, a
+    distinct segment drawn as a fresh walk from the key, so a key serves
+    the first min(requests, stock) segments of its stock, block by block,
+    and the served positions follow from the counts. Each served pair
+    becomes one segment of the next level, recorded as a pair of child
+    indices, written in requester order: a new segment takes its
+    requester's start and label, the next level keeps the order, and its
+    counts are the requester blocks' counts. When a key's stock is short,
+    fail_policy decides between aborting the run (on the smallest short
+    key) and serving a uniform subset of its requests: only then does the
+    phase draw its substream, to pick which requests of each short key
+    fail (_draw_failures). A failed request leaves its block's count, and
+    the rest are served by rank as in a key with stock to spare. The
     unserved walks are logged if they carry label 1.
 
-    Every index is int32, as a level holds fewer than 2^31 segments; only
-    the request order of a phase whose keys and positions need more than 32
-    bits together is int64 (_group_by_key). In practical mode a vertex's stock count comes from binary searches over
-    the start-sorted level; theory mode counts its int64 (vertex, label)
-    keys. One call peaks at about 22-27 traced bytes a segment, level 0's
-    10 included, and about _STITCH_BYTES resident.
+    Every index is int32, as a level holds fewer than 2^31 segments, and is
+    cast to intp a slice at a time where it gathers or scatters; only the
+    request order of a phase whose keys and positions need more than 32
+    bits together is int64 (_group_by_key). The leaf starts and the final
+    starts are rebuilt from the budgets and the final blocks after the
+    phase loop. A phase peaks at about 11 traced bytes a segment of level
+    0 on large levels, where level 0 takes 4, and a call with its walks
+    built at about _STITCH_BYTES resident.
 
     Each phase costs two supersteps (requests, then replies). Message words:
     a request is 3 words; a reply for a length-s segment is s+4 words (s+1
     vertices, first label, cycle tag, requester segment id). The reply size
     is what the modelled cluster would ship; the simulation itself moves
-    only indices.
+    only indices, and accounts for messages by their count per receiving
+    vertex.
     """
-    leaf_start, end, labels = init_walks(g, budgets, params, master_seed, cycle)
-    start = leaf_start
+    ends = init_walks(g, budgets, params, master_seed, cycle)
+    counts = budgets
     levels: List[Tuple[np.ndarray, np.ndarray]] = []
     failed: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
     theory = params.mode == "theory"
-    key_span = params.length + 1
-    n_keys = g.n * key_span if theory else g.n
+    n = g.n
     phases = params.length.bit_length() - 1
 
     for phase in range(1, phases + 1):
         s = 1 << (phase - 1)
-        two_s = 2 * s
+        half = counts.shape[1] // 2
+        # block (v, i) of the level starts at position bounds[v * 2 * half + i];
         # temporaries are dropped as soon as they are used: they set the
-        # peak memory of a phase. np.take gathers through a full intp copy
-        # of its int32 indices, which is faster than a[idx] but 8 bytes an
-        # index larger, so it is used only where the phase is far from its
-        # peak (before grouping and after serving)
-        req_idx = np.flatnonzero((labels & (two_s - 1)) == 1).astype(np.int32)
-        srv_idx = np.flatnonzero((labels & (two_s - 1)) == (s + 1) % two_s).astype(np.int32)
-
-        dest = np.take(end, req_idx)
-        cluster.exchange_bulk(dest, words=3, kind=KIND_REQUEST)
+        # peak memory of a phase
+        bounds = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        offsets = bounds[:-1].reshape(counts.shape)
+        req_first, req_counts = offsets[:, 0::2].ravel(), counts[:, 0::2].ravel()
+        srv_blocks = counts[:, 1::2]
+        # the requester positions are built here for their ends, and again
+        # after serving, so they are not held while requests are grouped
+        dest = _gather(ends, _ranges(req_first, req_counts))
         if theory:
-            req_key = dest.astype(np.int64) * key_span + (labels[req_idx].astype(np.int64) + s)
-            srv_key = start[srv_idx].astype(np.int64) * key_span + labels[srv_idx]
-            scount = np.bincount(srv_key, minlength=n_keys)
-            del srv_key
+            # key z * half + i asks vertex z for label (2i + 1) * s + 1, from
+            # the requesters of block column 2i
+            n_keys = n * half
+            req_key = dest.astype(np.int32 if n_keys <= 1 << 31 else np.int64)
+            req_key *= half
+            req_key += np.repeat(np.tile(np.arange(half, dtype=req_key.dtype), n), req_counts)
+            rcount = np.bincount(req_key, minlength=n_keys)
+            scount = srv_blocks.ravel()
+            cluster.exchange_bulk(rcount.reshape(n, half).sum(axis=1), words=3,
+                                  kind=KIND_REQUEST)
         else:
+            n_keys = n
             req_key = dest
-            # the level lies in start order, so each vertex's stock is one
-            # run of srv_idx, found by binary search on the run bounds
-            bounds = np.searchsorted(start, np.arange(g.n + 1, dtype=np.int32))
-            scount = np.diff(np.searchsorted(srv_idx, bounds.astype(np.int32)))
+            rcount = np.bincount(req_key, minlength=n_keys)
+            scount = srv_blocks.sum(axis=1)
+            cluster.exchange_bulk(rcount, words=3, kind=KIND_REQUEST)
         del dest
-        rcount = np.bincount(req_key, minlength=n_keys)
         short = np.flatnonzero(rcount > scount)
         if short.size and params.fail_policy == "abort":
             key = int(short[0])
-            z, needed = divmod(key, key_span) if theory else (key, None)
+            z, needed = (key // half, (key % half * 2 + 1) * s + 1) if theory else (key, None)
             raise StitchFailure(z, needed, phase, int(rcount[key] - scount[key]), cycle)
 
-        # the level's (start, label) order leaves srv_idx grouped by key as
-        # it is, and requests are grouped by key in requester order; a short
-        # key drops a uniform subset of its requests, and the rest are served
+        # requests are grouped by key in requester order; a short key drops
+        # a uniform subset of its requests, and the rest are served
         order = _group_by_key(req_key, n_keys)
         del req_key
-        lost = None   # requester positions left unserved, in requester order
+        lost = None   # ranks of the requests left unserved, in requester order
+        served = req_counts   # requests per requester block that are served
         if short.size:
             fail = _draw_failures(short, rcount, scount,
                                   substream(master_seed, SERVE_STREAM, cycle, phase))
@@ -605,38 +669,68 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
             order = order[~fail]
             rcount = np.minimum(rcount, scount)
             del fail
-            failed_req = req_idx[lost]
-            first_label = failed_req[labels[failed_req] == 1]
-            if first_label.size:
-                failed.append((phase, first_label, start[first_label], end[first_label]))
+            # requests lie block by block, so a rank finds its block and
+            # its position
+            rank_first = np.cumsum(req_counts) - req_counts
+            block = np.searchsorted(rank_first + req_counts, lost, side="right")
+            served = req_counts - np.bincount(block, minlength=req_counts.size)
+            label_1 = block % half == 0
+            ids = ((req_first - rank_first)[block[label_1]] + lost[label_1]).astype(np.int32)
+            if ids.size:
+                failed.append((phase, ids, (block[label_1] // half).astype(np.int32),
+                               _gather(ends, ids)))
+            del rank_first, block, label_1, ids
 
-        # the served request of rank r in key k gets server sfirst[k] + r;
-        # srv_of holds each request's server in requester order
-        rfirst = np.cumsum(rcount) - rcount
-        sfirst = np.cumsum(scount) - scount
-        # requests and stock are disjoint parts of the level, so every
-        # position fits in int32
-        srv_pos = np.repeat((sfirst - rfirst).astype(np.int32), rcount)
-        srv_pos += np.arange(order.size, dtype=np.int32)
-        srv_of = np.empty(req_idx.size, dtype=np.int32)
-        srv_of[order] = srv_idx[srv_pos]
-        del order, srv_pos, srv_idx
-        served_req, served_srv = req_idx, srv_of
-        if lost is not None:
-            served_req, served_srv = np.delete(req_idx, lost), np.delete(srv_of, lost)
-        del req_idx, srv_of
-
-        assert np.array_equal(np.take(end, served_req), np.take(start, served_srv))
+        # key k serves the first rcount[k] segments of its stock, block by
+        # block, to its requests in rank order
         if theory:
-            assert np.array_equal(labels[served_req] + s, labels[served_srv])
-        start, end = np.take(start, served_req), np.take(end, served_srv)
-        cluster.exchange_bulk(start, words=s + 4, kind=KIND_REPLY)
-        labels = np.take(labels, served_req)
+            take = rcount.reshape(n, half)
+        else:
+            before = np.cumsum(srv_blocks, axis=1) - srv_blocks
+            take = np.clip(rcount[:, None] - before, 0, srv_blocks)
+        served_srv = np.empty(int(req_counts.sum()), dtype=np.int32)
+        _scatter(served_srv, order, _ranges(offsets[:, 1::2].ravel(), take.ravel()))
+        del order
+        served_req = _ranges(req_first, req_counts)
+        if lost is not None:
+            served_req, served_srv = np.delete(served_req, lost), np.delete(served_srv, lost)
+        del lost
+
+        # each server lies in the positions of its requester's key: the
+        # blocks of the requester's end vertex, and in theory mode the one
+        # of the requester's label + s, so their vertices and labels join
+        if theory:
+            _check_served(ends, served_req, served_srv, bounds[1::2], bounds[2::2],
+                          half, np.repeat(np.tile(np.arange(half, dtype=np.int32), n), served))
+        else:
+            _check_served(ends, served_req, served_srv, bounds[:-1:2 * half],
+                          bounds[2 * half::2 * half])
+        del bounds, offsets
+
+        ends = _gather(ends, served_srv)
+        counts = served.reshape(n, half)
+        cluster.exchange_bulk(counts.sum(axis=1), words=s + 4, kind=KIND_REPLY)
         levels.append((served_req, served_srv))
 
-    assert np.all(labels == 1)
-    return StitchResult(leaf_start=leaf_start, levels=levels, starts=start, ends=end,
-                        failed=failed)
+    assert counts.shape == (n, 1)   # only label-1 blocks remain
+    vertices = np.arange(n, dtype=np.int32)
+    return StitchResult(leaf_start=np.repeat(vertices, budgets.sum(axis=1)), levels=levels,
+                        starts=np.repeat(vertices, counts[:, 0]), ends=ends, failed=failed)
+
+
+def _check_served(ends: np.ndarray, served_req: np.ndarray, served_srv: np.ndarray,
+                  lo: np.ndarray, hi: np.ndarray, half: int = 1,
+                  column: np.ndarray | None = None) -> None:
+    """Assert that each served server lies in [lo[k], hi[k]) for its
+    requester's key k: the requester's end vertex, or in theory mode that
+    vertex times half plus the requester's block column over two."""
+    for a in range(0, served_req.size, _CHUNK):
+        key = _gather(ends, served_req[a:a + _CHUNK]).astype(np.intp)
+        if column is not None:
+            key *= half
+            key += column[a:a + _CHUNK]
+        srv = served_srv[a:a + _CHUNK]
+        assert np.all(lo[key] <= srv) and np.all(srv < hi[key])
 
 
 def cycle_plan(target: int, growth: float) -> Tuple[int, int]:
@@ -740,7 +834,7 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
     first_round = cluster.ledger.superstep_count
     budgets = initial_budgets(g, params)
     stats: List[CycleStats] = []
-    update_dests = np.flatnonzero(g.degrees > 0).astype(np.int64)
+    updates = (g.degrees > 0).astype(np.int64)   # one message per non-isolated vertex
 
     for i in range(1, calib + 2):
         budget_total = int(budgets.sum())
@@ -762,8 +856,7 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
                 raise EngineError(f"all rooted walks failed in calibration cycle {i}")
             expo = final_expo if i == calib else i
             budgets = update_budgets(rooted, expo, params, g, num_roots=roots_arr.size)
-            cluster.exchange_bulk(update_dests, words=params.length + 1,
-                                  kind=KIND_UPDATE)
+            cluster.exchange_bulk(updates, words=params.length + 1, kind=KIND_UPDATE)
 
     final = stats[-1]
     metrics = _run_metrics(cluster.ledger.since(first_round),
@@ -878,8 +971,9 @@ def uniform_stitching(g: Graph, b0_per_degree: float, length: int,
     cluster = cluster or Cluster()
     first_round = cluster.ledger.superstep_count
     res = stitch(g, budgets, params, cluster, derive_key(seed, _ENGINE_NS, 0), cycle=1)
-    # every walk is returned: build them now, once, in tree order
-    ok_per_vertex = np.bincount(res.verts[:, 0], minlength=g.n)
+    res.verts   # every walk is returned: build them now, once, in tree order
+    # the walks lie grouped by start vertex, so binary searches count them
+    ok_per_vertex = np.diff(np.searchsorted(res.starts, np.arange(g.n + 1)))
     attempted = int(budgets[:, 0].sum())
     metrics = _run_metrics(cluster.ledger.since(first_round), [total], attempted,
                            int(ok_per_vertex.sum()), attempted)

@@ -17,6 +17,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from .graph import sort_unique
 from .rng import splitmix64_array
 
 # Superstep kinds; request/reply pairs collapse 2:1 into paper rounds.
@@ -113,33 +114,32 @@ class Cluster:
         exchange sorts nothing."""
         if self._slot.size < size:
             every = np.arange(max(size, 2 * self._slot.size))
-            self._machines, self._slot = np.unique(self.assign_machines(every),
-                                                   return_inverse=True)
+            self._machines, self._slot = sort_unique(self.assign_machines(every),
+                                                     return_inverse=True)
         return self._slot[:size]
 
-    def exchange_bulk(self, dest: np.ndarray, words: int, kind: str = KIND_OTHER) -> None:
-        """Account for one barrier exchange of len(dest) messages of `words`
-        words each.
+    def exchange_bulk(self, counts: np.ndarray, words: int, kind: str = KIND_OTHER) -> None:
+        """Account for one barrier exchange in which vertex v receives
+        counts[v] messages of `words` words each.
 
-        dest holds each message's destination vertex. Appends one
-        RoundRecord. Loads are charged to the receiving machine only, so no
-        sender is needed; an overflow is logged as a violation (strict mode
-        raises CapacityError). Nothing is delivered, so there is no delivery
-        order and nothing is returned.
+        Appends one RoundRecord. Loads are charged to the receiving machine
+        only, so no sender is needed, and a caller passes one count per
+        vertex, not one entry per message; an overflow is logged as a
+        violation (strict mode raises CapacityError). Nothing is delivered,
+        so there is no delivery order and nothing is returned.
         """
-        dest = np.asarray(dest)
-        n_msgs = int(dest.size)
+        counts = np.asarray(counts)
+        n_msgs = int(counts.sum())
         total_words = int(words) * n_msgs
         if n_msgs == 0:
             max_per_machine = 0
         elif self.cfg.num_machines == 1:
             max_per_machine = total_words
         else:
-            # count messages per vertex, then per machine slot, so loads are
-            # held for the machines of mapped vertices only, not every machine
-            per_vertex = np.bincount(dest)
-            loads = np.bincount(self._machine_slots(per_vertex.size),
-                                weights=per_vertex).astype(np.int64) * int(words)
+            # sum the counts per machine slot, so loads are held for the
+            # machines of mapped vertices only, not every machine
+            loads = np.bincount(self._machine_slots(counts.size),
+                                weights=counts).astype(np.int64) * int(words)
             max_per_machine = int(loads.max())
 
         round_index = self.ledger.superstep_count

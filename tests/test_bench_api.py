@@ -25,6 +25,41 @@ def test_traced_layers_exist():
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
 
 
+# Each workload's tiny run at seed 3: the fingerprint of its returned walks
+# and its deterministic counters. A change that claims the same walks must
+# leave both as they are.
+PINNED = {
+    "locality-gnp": ("e30f0da318544d31b8792e8363e62a3340472171c0ab559c143d447426c92b23", {
+        "graph.n": 200, "graph.m": 3037, "mpc.supersteps": 23, "mpc.paper_rounds": 13,
+        "mpc.messages": 1323850, "mpc.words": 5505124, "mpc.max_machine_words": 2047630,
+        "mpc.violations": 0, "engine.cycles": 5, "engine.segments": 925126,
+        "engine.rooted_attempted": 1015, "engine.rooted_ok": 982,
+        "engine.rooted_fail_share": 0.03251231527093601,
+        "engine.useful_segment_ratio": 0.8779344651431265, "engine.walks_ok": 203050,
+        "ppr.support": 0}),
+    "ppr-cliques": ("f8562d3e7f33325cb575dd4a1a5a143557831a851d1022dcf588a3090bb7198a", {
+        "graph.n": 34, "graph.m": 273, "mpc.supersteps": 62, "mpc.paper_rounds": 34,
+        "mpc.messages": 2097390, "mpc.words": 9409458, "mpc.max_machine_words": 1180730,
+        "mpc.violations": 0, "engine.cycles": 7, "engine.segments": 1383309,
+        "engine.rooted_attempted": 16544, "engine.rooted_ok": 16518,
+        "engine.rooted_fail_share": 0.0015715667311412274,
+        "engine.useful_segment_ratio": 0.191054926990282, "engine.walks_ok": 16518,
+        "ppr.support": 34}),
+    "walks-sparse": ("59673ab1824c0dea010c726a4fa297a339a9a43f962b415d610363d6369bb516", {
+        "graph.n": 500, "graph.m": 2476, "mpc.supersteps": 27, "mpc.paper_rounds": 15,
+        "mpc.messages": 243203, "mpc.words": 1040805, "mpc.max_machine_words": 8440,
+        "mpc.violations": 1, "engine.cycles": 4, "engine.segments": 252099,
+        "engine.rooted_attempted": 1013, "engine.rooted_ok": 858,
+        "engine.rooted_fail_share": 0.1530108588351431,
+        "engine.useful_segment_ratio": 0.027227398760010946, "engine.walks_ok": 858,
+        "ppr.support": 0}),
+}
+
+
+def test_every_workload_is_pinned():
+    assert set(PINNED) == set(workloads.WORKLOADS)
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_runs_tiny(name):
     wl = workloads.WORKLOADS[name]
@@ -35,8 +70,10 @@ def test_workload_runs_tiny(name):
     failed = [(check, detail) for check, passed, detail in wl.check(g, plan, out, p)
               if not passed]
     assert not failed
-    assert len(workloads.walks_sha256(out)) == 64
-    assert workloads.counters(g, out)["engine.walks_ok"] > 0
+    sha256, counters = PINNED[name]
+    assert workloads.walks_sha256(out) == sha256
+    assert workloads.counters(g, out) == counters
+    assert counters["engine.walks_ok"] > 0
 
 
 def test_corrupted_scores_fail_ppr_checks():

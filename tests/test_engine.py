@@ -192,12 +192,23 @@ class IntegersSpy:
         return self._gen.integers(low, high, **kw)
 
 
+def level0_blocks(budgets):
+    """The int32 start and int16 label of every level-0 segment, which the
+    budgets' (vertex, label) blocks imply: budgets[v, k-1] segments start at
+    v with label k, block by block in row order."""
+    n, length = budgets.shape
+    starts = np.repeat(np.arange(n, dtype=np.int32), budgets.sum(axis=1))
+    labels = np.repeat(np.tile(np.arange(1, length + 1, dtype=np.int16), n), budgets.ravel())
+    return starts, labels
+
+
 class TestInitWalks:
     def test_k2_forced_neighbor(self):
         g = path_graph(2)
         p = desk_params(length=2, target=10, tau=1.0)
         b = np.array([[5, 0], [0, 0]], dtype=np.int64)
-        start, end, labels = init_walks(g, b, p, master_seed=1)
+        end = init_walks(g, b, p, master_seed=1)
+        start, labels = level0_blocks(b)
         assert (start.dtype, end.dtype, labels.dtype) == (np.int32, np.int32, np.int16)
         assert start.shape == end.shape == labels.shape == (5,)
         assert np.all(start == 0) and np.all(end == 1)
@@ -207,7 +218,7 @@ class TestInitWalks:
         g = path_graph(3)
         p = desk_params(length=1, target=10, tau=1.0)
         b = np.array([[0], [10_000], [0]], dtype=np.int64)
-        _, end, _ = init_walks(g, b, p, master_seed=3)
+        end = init_walks(g, b, p, master_seed=3)
         counts = np.bincount(end, minlength=3)
         assert 4600 <= counts[0] <= 5400
         assert 4600 <= counts[2] <= 5400
@@ -216,7 +227,7 @@ class TestInitWalks:
         g = path_graph(3)
         p = desk_params(length=1, target=10, tau=1.0, laziness="half")
         b = np.array([[0], [10_000], [0]], dtype=np.int64)
-        _, end, _ = init_walks(g, b, p, master_seed=3)
+        end = init_walks(g, b, p, master_seed=3)
         stays = int((end == 1).sum())
         assert 4600 <= stays <= 5400
 
@@ -241,25 +252,30 @@ class TestInitWalks:
         p = desk_params(length=2, target=1, tau=1.0, laziness=laziness)
         b = star_budgets(leaves)
         monkeypatch.setattr(engine, "_CHUNK", chunk)
-        got = init_walks(g, b, p, master_seed=9, cycle=2)
+        start, labels = level0_blocks(b)
+        got = (start, init_walks(g, b, p, master_seed=9, cycle=2), labels)
         for arr, ref in zip(got, one_call_init_walks(g, b, p, master_seed=9, cycle=2)):
             assert arr.dtype == ref.dtype
             assert np.array_equal(arr, ref)
 
     def test_physical_memory_checked_before_allocating(self, monkeypatch):
-        # level 0's 800 000 bytes would fit in 400 pages; the whole stitch,
-        # at 30 bytes a segment, fits in 600 but not in 400
-        pages = {"SC_PHYS_PAGES": 400, "SC_PAGE_SIZE": 4096}
+        # one page short of the whole stitch, at _STITCH_BYTES a segment, is
+        # refused, though level 0's 4 bytes a segment would fit; a page
+        # more is not
+        need = 80_000 * engine._STITCH_BYTES
+        short = need // 4096
+        assert 80_000 * 4 < short * 4096 < need
+        pages = {"SC_PHYS_PAGES": short, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(engine.os, "sysconf", pages.__getitem__)
         g = cycle_graph(4)
         p = desk_params(length=2, target=1, tau=1.0)
         b = np.full((4, 2), 10_000, dtype=np.int64)
         with pytest.raises(engine.EngineError,
-                           match="80000 segments need 2400000 bytes, more than the "
-                                 "1638400 bytes of physical memory"):
+                           match=f"80000 segments need {need} bytes, more than the "
+                                 f"{short * 4096} bytes of physical memory"):
             init_walks(g, b, p, master_seed=0)
-        pages["SC_PHYS_PAGES"] = 600
-        assert init_walks(g, b, p, master_seed=0)[0].size == 80_000
+        pages["SC_PHYS_PAGES"] = short + 1
+        assert init_walks(g, b, p, master_seed=0).size == 80_000
 
 
     def test_rejections_fall_back_to_numpy(self, monkeypatch):
@@ -393,7 +409,7 @@ class TestStitch:
         budgets = initial_budgets(g, p)
         res = stitch(g, budgets, p, Cluster(), master_seed=3)
         assert res.failed  # stocks run short: the failed prefixes are built too
-        _, leaf_end, _ = init_walks(g, budgets, p, master_seed=3)
+        leaf_end = init_walks(g, budgets, p, master_seed=3)
         rows = np.arange(res.starts.size)
         arrays = [a for pair in res.levels for a in pair] + [
             res.starts, res.ends, res.leaf_ids(rows), res.leaf_ids(rows[:5], 0),
@@ -403,6 +419,25 @@ class TestStitch:
         arrays += [chunk for _, chunk in res.failed_chunks]
         assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)
 
+    @pytest.mark.parametrize("mode", ["practical", "theory"])
+    def test_int64_request_order_serves_alike(self, monkeypatch, mode):
+        # a phase whose keys and positions need more than 32 bits groups its
+        # requests into an int64 order; a stable argsort gives one in every
+        # phase, and the pass must be the same, failures included
+        g = cycle_graph(8)
+        p = desk_params(length=8, target=1, base_budget=20.0, tau=1.01, mode=mode)
+        budgets = initial_budgets(g, p)
+        packed = stitch(g, budgets, p, Cluster(), master_seed=3)
+        monkeypatch.setattr(engine, "_group_by_key",
+                            lambda key, n_keys: np.argsort(key, kind="stable"))
+        wide = stitch(g, budgets, p, Cluster(), master_seed=3)
+        assert packed.failed and len(packed.failed) == len(wide.failed)
+        for a, b in zip(packed.levels + [(packed.starts, packed.ends)],
+                        wide.levels + [(wide.starts, wide.ends)]):
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        for a, b in zip(packed.failed, wide.failed):
+            assert a[0] == b[0] and all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
+
     @pytest.mark.parametrize("chunk", [1, 8, 64])
     def test_walk_slices_match_one_call(self, monkeypatch, chunk):
         g = cycle_graph(8)
@@ -410,7 +445,7 @@ class TestStitch:
         budgets = initial_budgets(g, p)
         res = stitch(g, budgets, p, Cluster(), master_seed=3)
         assert len(res.levels) == 3
-        _, leaf_end, _ = init_walks(g, budgets, p, master_seed=3)
+        leaf_end = init_walks(g, budgets, p, master_seed=3)
         rng = np.random.default_rng(chunk)
         cases = []
         for level in (0, 1, 3):
@@ -436,17 +471,19 @@ def one_call_walks(res, rows, level, leaf_end):
 
 
 class TestWorkingSet:
-    """The traced peak of one stitch call, in bytes a segment: level 0 alone
-    takes 10, and the index tree, the next level and each phase's int32
-    temporaries the rest."""
+    """The traced peak of one stitch call, in bytes a segment: level 0 takes
+    4 (its int32 ends; starts and labels are implied by the budgets' block
+    counts), and the index tree, the next level and each phase's int32
+    temporaries the rest. The last two cases have fewer segments than one
+    slice of init_walks, so their peak is level 0 plus that slice's draws."""
 
     @pytest.mark.parametrize("graph, params, bound", [
         (two_cliques(17), desk_params(length=64, target=1, base_budget=7.0, tau=1.15,
-                                      laziness="half"), 25.0),
+                                      laziness="half"), 17.0),
         (gnp(300, 0.1, seed=3), desk_params(length=4, target=1, base_budget=4.0,
-                                            tau=1.0), 30.0),
+                                            tau=1.0), 22.0),
         (cycle_graph(8), desk_params(length=8, target=1, base_budget=2.0, tau=1.5,
-                                     mode="theory"), 28.0),
+                                     mode="theory"), 22.0),
     ], ids=["cliques-L64-lazy", "gnp-L4-short", "c8-L8-theory"])
     def test_peak_bytes_per_segment(self, graph, params, bound):
         budgets = initial_budgets(graph, params)
@@ -461,6 +498,29 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert bool(res.failed) == (params.surplus == 1.0)
         assert peak / segments <= bound
+
+    @pytest.mark.parametrize("chunk", [1 << 14, engine._CHUNK], ids=["16384", "default"])
+    @pytest.mark.parametrize("laziness", ["none", "half"])
+    def test_init_walks_holds_ends_and_one_slice(self, monkeypatch, chunk, laziness):
+        # level 0 is 4 bytes a segment; a slice's draws take at most 16
+        # bytes a segment of the slice and are freed before the next slice
+        # draws; 256 KiB cover numpy's 128 KiB cast buffer and small arrays
+        g = two_cliques(17)
+        p = desk_params(length=64, target=1, base_budget=7.0, tau=1.15, laziness=laziness)
+        budgets = initial_budgets(g, p)
+        segments = int(budgets.sum())
+        assert segments > chunk   # two slices or more
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        init_walks(path_graph(2), np.ones((2, 64), dtype=np.int64), p, master_seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ends = init_walks(g, budgets, p, master_seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert ends.nbytes == 4 * segments
+        assert peak <= 4 * segments + 16 * chunk + (1 << 18)
 
 
 class TestGroupByKey:
@@ -566,7 +626,7 @@ class TestSegmentDisjointness:
         assert res.failed  # no surplus: stocks run short in every phase
         leaves = all_leaf_ids(res)
         assert np.unique(leaves).size == leaves.size
-        assert_leaves_join(res, init_walks(g, budgets, p, master_seed=3)[1])
+        assert_leaves_join(res, init_walks(g, budgets, p, master_seed=3))
         assert validate_walks(g, res.verts, lazy=False)
 
     def test_uniform_stitching(self, monkeypatch):
@@ -581,7 +641,7 @@ class TestSegmentDisjointness:
         assert res.failed
         leaves = all_leaf_ids(res)
         assert np.unique(leaves).size == leaves.size
-        assert_leaves_join(res, level0[0][1])
+        assert_leaves_join(res, level0[0])
 
 
 def first_leaves(res, level: int) -> np.ndarray:
@@ -608,7 +668,7 @@ class TestLevelOrder:
         budgets = initial_budgets(g, p)
         res = stitch(g, budgets, p, Cluster(), master_seed=11, cycle=2)
         assert bool(res.failed) == short
-        _, _, labels = init_walks(g, budgets, p, master_seed=11, cycle=2)
+        labels = level0_blocks(budgets)[1]
         for level in range(len(res.levels) + 1):
             first = first_leaves(res, level)
             key = res.leaf_start[first].astype(np.int64) * (p.length + 1) + labels[first]

@@ -13,7 +13,7 @@ from walkstitch import (EdgeListParseError, GraphError, UndefinedConductanceErro
                         boundary_size, conductance, graph, load_cache, load_edge_list,
                         save_cache, volume)
 from walkstitch.fixtures import cycle_graph, gnm, gnp, path_graph, star_graph, two_cliques
-from walkstitch.graph import Graph, from_edge_array
+from walkstitch.graph import Graph, from_edge_array, sort_unique
 
 
 def _reference_load_edge_list(source) -> Graph:
@@ -255,6 +255,28 @@ class TestFromEdgeArray:
                 assert np.array_equal(got, want)
             assert g.m == m
             g.check_invariants()
+
+
+class TestSortUnique:
+    """sort_unique gives exactly np.unique's values and, for the machine
+    slots of mpc.Cluster, its inverse."""
+
+    @pytest.mark.parametrize("values", [
+        np.empty(0, dtype=np.int64), np.array([7]), np.array([3, 3, 3]),
+        np.array([5, -2, 5, 0, -2, 9], dtype=np.int32),
+        np.random.default_rng(1).integers(0, 50, size=5000),
+        np.random.default_rng(2).integers(0, 2**40, size=5000).astype(np.uint64),
+    ], ids=["empty", "single", "constant", "signed-int32", "dense", "sparse-uint64"])
+    def test_matches_np_unique(self, values):
+        got = sort_unique(values)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, np.unique(values))
+        got, inverse = sort_unique(values, return_inverse=True)
+        want, want_inverse = np.unique(values, return_inverse=True)
+        assert np.array_equal(got, want)
+        assert inverse.dtype == np.intp
+        assert np.array_equal(inverse, want_inverse)
+        assert np.array_equal(got[inverse], values)
 
 
 class TestEdgeQueries:

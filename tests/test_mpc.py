@@ -36,6 +36,7 @@ class TestAssignMachine:
 
 
 NO_MSGS = np.empty(0, dtype=np.int64)
+TO_VERTEX_0 = np.array([1])   # one message, to vertex 0
 
 
 class TestExchange:
@@ -50,18 +51,18 @@ class TestExchange:
         c = Cluster(ClusterConfig(num_machines=1, machine_capacity=10,
                                   enforce_capacity=True))
         with pytest.raises(CapacityError, match="machine 0"):
-            c.exchange_bulk(np.array([0]), words=11)
+            c.exchange_bulk(TO_VERTEX_0, words=11)
 
     def test_capacity_violation_report_only(self):
         c = Cluster(ClusterConfig(num_machines=1, machine_capacity=10))
-        c.exchange_bulk(np.array([0]), words=11)
+        c.exchange_bulk(TO_VERTEX_0, words=11)
         assert c.ledger.violations == [{"round": 0, "machine": 0, "words": 11}]
 
     def test_message_conservation(self):
         c = Cluster(ClusterConfig(num_machines=4))
         rng = np.random.Generator(np.random.PCG64(8))
         dest = rng.integers(0, 50, size=300)
-        c.exchange_bulk(dest, 7)
+        c.exchange_bulk(np.bincount(dest), 7)
         rec = c.ledger.rounds[-1]
         assert rec.messages_sent == 300
         assert rec.total_words == 300 * 7
@@ -78,8 +79,8 @@ class TestExchange:
         rng = np.random.Generator(np.random.PCG64(machines))
         rounds, violations = [], []
         for i, (words, dtype) in enumerate([(1, np.int64), (3, np.int32), (5, np.int64)]):
-            dest = rng.integers(0, 500, size=2000).astype(dtype)
-            c.exchange_bulk(dest, words)
+            dest = rng.integers(0, 500, size=2000)
+            c.exchange_bulk(np.bincount(dest).astype(dtype), words)
             loads = np.bincount(c.assign_machines(dest), minlength=machines) * words
             rounds.append(RoundRecord(kind="message", messages_sent=2000,
                                       total_words=2000 * words,
@@ -94,8 +95,7 @@ class TestExchange:
     def test_loads_held_only_for_receiving_machines(self):
         # 10**12 machines: a load array over every machine would not fit in memory
         c = Cluster(ClusterConfig(num_machines=10**12, machine_capacity=1))
-        dest = np.array([0, 3, 3])
-        c.exchange_bulk(dest, words=1)
+        c.exchange_bulk(np.array([1, 0, 0, 2]), words=1)   # to vertices 0, 3 and 3
         machines = c.assign_machines(np.array([0, 3]))
         assert c.ledger.rounds[-1].max_words_per_machine == 2
         assert c.ledger.violations == [{"round": 0, "machine": int(machines[1]), "words": 2}]
@@ -112,7 +112,7 @@ class TestExchange:
             rng = np.random.Generator(np.random.PCG64(1))
             for _ in range(4):
                 d = rng.integers(0, 20, size=60)
-                c.exchange_bulk(d, words=2)
+                c.exchange_bulk(np.bincount(d), words=2)
             return c.ledger.rounds
         assert run() == run()
 
@@ -127,21 +127,21 @@ class TestReport:
     def test_after_two_exchanges(self):
         c = Cluster()
         c.exchange_bulk(NO_MSGS, words=1)
-        c.exchange_bulk(np.array([1]), words=2)
+        c.exchange_bulk(np.array([0, 1]), words=2)   # one message, to vertex 1
         assert c.ledger.superstep_count == 2
         assert c.ledger.max_machine_words() == 2
 
     def test_paper_rounds_pairs(self):
         c = Cluster()
         for kind in (KIND_REQUEST, KIND_REPLY, KIND_REQUEST, KIND_REPLY, KIND_UPDATE):
-            c.exchange_bulk(np.array([0]), words=1, kind=kind)
+            c.exchange_bulk(TO_VERTEX_0, words=1, kind=kind)
         assert c.ledger.superstep_count == 5
         assert c.ledger.paper_rounds() == 3  # two request/reply pairs + one update
 
     def test_since_counts_later_rounds_only(self):
         c = Cluster(ClusterConfig(machine_capacity=10))
         for kind, words in ((KIND_UPDATE, 11), (KIND_REQUEST, 12), (KIND_REPLY, 5)):
-            c.exchange_bulk(np.array([0]), words=words, kind=kind)
+            c.exchange_bulk(TO_VERTEX_0, words=words, kind=kind)
         tail = c.ledger.since(1)
         assert tail.superstep_count == 2
         assert tail.paper_rounds() == 1
