@@ -24,8 +24,10 @@ implied by block counts: a level is its segments' end vertices plus the
 number of segments of each (start vertex, label) block, so the stock of
 each serving key lies contiguous, in an order that does not depend on where
 its segments go, and is served as it lies. A pass returns an immutable
-index tree, where a walk is its leaves' starts plus its end; it is built
-once, when it is returned.
+index tree that keeps, for each segment of a level above 0, the vertex
+where its two halves join: a walk is its start, the join vertices of the
+nodes under it in step order, and its end; it is built once, when it is
+returned.
 
 Randomness comes from one substream per purpose and step, keyed by the run
 seed: one per cycle draws every length-1 segment, one per (cycle, phase)
@@ -56,8 +58,9 @@ from .rng import INIT_STREAM, SERVE_STREAM, SHUFFLE_STREAM, derive_key, substrea
 _ENGINE_NS = 0x10  # namespace tag folded into every engine substream key
 _CHUNK = 1 << 18   # segments or indices per slice of draws, gathers, scatters and walk assembly
 # resident bytes a segment at the peak of a stitch that builds all its walks:
-# 768 MB over 3.97e7 segments in acceptance criterion 9's all-vertex baseline
-_STITCH_BYTES = 21
+# 625 MiB over 3.97e7 segments (16.5) in acceptance criterion 9's all-vertex
+# baseline
+_STITCH_BYTES = 17
 
 LAZINESS = ("none", "half")
 MODES = ("theory", "practical")
@@ -382,16 +385,20 @@ def _draw_below(gen: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
 class StitchResult:
     """Label-1 walks of one stitch pass, held as an immutable index tree.
 
-    Level 0 is the length-1 segments of init_walks, with starts leaf_start,
-    rebuilt from the budgets' blocks after the phase loop.
-    Phase j joins pairs of level j-1 segments into level j segments;
-    levels[j-1] holds the two child-index arrays of that phase: the
-    requester ids (left halves) and the server ids (right halves) of every
-    served request, in requester order. The finished walks, the segments of
-    the last level, lie in tree order (grouped by start vertex): row i runs
-    from starts[i] through its leaves' starts to ends[i]. `walks` builds the
-    rows asked for, `verts` all of them. starts is rebuilt from the last
-    level's block counts, which hold label 1 only.
+    Level 0 is the length-1 segments of init_walks. Phase j joins pairs of
+    level j-1 segments into level j segments, in requester order; joins[j-1]
+    holds the vertex where each of them joins, the end of its requester
+    (left half) and the start of its server (right half). From level 2 on,
+    children[j-2] holds the two child-id arrays of phase j: the requester
+    and server ids at level j-1 of every served request. Level 1 keeps no
+    children, as a level-1 segment is its start, its join vertex and its
+    end. A segment's vertices are its start, the join vertices of the
+    nodes under it in step order, and its end; its left child starts where
+    it starts and its right child at its join vertex. The finished walks,
+    the segments of the last level, lie in tree order (grouped by start
+    vertex): row i runs from starts[i] to ends[i]. `walks` builds the rows
+    asked for, `verts` all of them. starts is rebuilt from the last level's
+    block counts, which hold label 1 only.
 
     failed lists, per phase, the label-1 requesters whose request went
     unserved: (phase, their segment ids at level phase-1, their start and
@@ -399,66 +406,61 @@ class StitchResult:
     kept here: vertex v started budgets[v, 0] label-1 walks, and the rounds
     are in the cluster's ledger.
 
-    Every array here is int32, and so are the ids and walks built from it.
+    Every array here is int32, and so are the walks built from it.
     """
 
-    leaf_start: np.ndarray            # (S,) int32
-    levels: List[Tuple[np.ndarray, np.ndarray]]   # per phase, int32 child ids
+    joins: List[np.ndarray]           # per level j >= 1, int32 join vertex of each segment
+    children: List[Tuple[np.ndarray, np.ndarray]]   # per level j >= 2, int32 child ids
     starts: np.ndarray                # (K,) int32 start vertex of each finished walk
     ends: np.ndarray                  # (K,) int32 end vertex of each finished walk
     failed: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]
 
-    def _leaf_columns(self, rows: np.ndarray, level: int) -> List[np.ndarray]:
-        """Leaf segment ids under segments `rows` of `level`, one flat intp
-        array per leaf position, left to right: one 1-D np.take per child
-        array per level, each column of a level splitting into its left and
-        right children's columns."""
-        cols = [np.asarray(rows, dtype=np.intp)]
-        size = self.levels[level - 1][0].size if level else self.leaf_start.size
-        if cols[0].size and not (0 <= cols[0].min() and cols[0].max() < size):
-            raise IndexError(f"rows must lie in [0, {size}) at level {level}")
-        for left, right in reversed(self.levels[:level]):
-            cols = [np.take(child, c).astype(np.intp)
-                    for c in cols for child in (left, right)]
-        return cols
-
-    def leaf_ids(self, rows: np.ndarray, level: int | None = None) -> np.ndarray:
-        """Leaf segment ids under segments `rows` of `level` (default: the
-        finished walks), left to right: int32, shape (len(rows), 2**level)."""
-        level = len(self.levels) if level is None else level
-        return np.stack(self._leaf_columns(rows, level), axis=1, dtype=np.int32)
-
-    def _segments(self, rows: np.ndarray, level: int, ends: np.ndarray) -> np.ndarray:
-        """Vertex sequences of segments `rows` of `level`, which end at
-        `ends`: int32, shape (len(rows), 2**level + 1). They are built in
-        slices of about _CHUNK leaves, a column at a time: each leaf position
-        fills one row of a (width, slice) block with its leaves' starts by a
-        1-D gather, `ends` fill the last, and the block's transpose is
-        written out, so the leaf ids and the block stay O(_CHUNK)."""
-        rows = np.asarray(rows)
+    def _segments(self, rows: np.ndarray | None, level: int, starts: np.ndarray,
+                  ends: np.ndarray) -> np.ndarray:
+        """Vertex sequences of segments `rows` of `level` (all of them, in
+        order, when rows is None), which start at `starts` and end at
+        `ends`: int32, shape (len(starts), 2**level + 1). They are built in
+        slices of about _CHUNK steps, a column at a time: the slice's ids
+        go down the tree level by level, each node's join vertex fills its
+        row of a (width, slice) block by a 1-D gather and each node's ids
+        split into its children's, `starts` and `ends` fill the first and
+        last rows, and the block's transpose is written out, so the ids and
+        the block stay O(_CHUNK). A slice takes 2**(level+1) - 3 gathers."""
         width = (1 << level) + 1
-        out = np.empty((rows.size, width), dtype=np.int32)
+        out = np.empty((starts.size, width), dtype=np.int32)
         step = max(1, _CHUNK >> level)
-        block = np.empty((width, min(step, rows.size)), dtype=np.int32)
-        for a in range(0, rows.size, step):
-            cols = self._leaf_columns(rows[a:a + step], level)
-            part = block[:, :cols[0].size]
-            # the ids are in range (checked on the rows, then drawn from
-            # the tree), so "clip" clips nothing; it spares take a buffer
-            for j, ids in enumerate(cols):
-                np.take(self.leaf_start, ids, out=part[j], mode="clip")
-            part[-1] = ends[a:a + step]
-            out[a:a + step] = part.T
+        block = np.empty((width, min(step, starts.size)), dtype=np.int32)
+        for a in range(0, starts.size, step):
+            b = min(a + step, starts.size)
+            part = block[:, :b - a]
+            part[0] = starts[a:b]
+            part[-1] = ends[a:b]
+            cols = [np.arange(a, b) if rows is None else rows[a:b].astype(np.intp)]
+            for j in range(level, 0, -1):
+                # node i of the slice's level-j nodes joins at step (2i + 1) 2^(j-1);
+                # the ids are in range (checked by walks, or drawn from the
+                # tree), so "clip" clips nothing; it spares take a buffer
+                for i, ids in enumerate(cols):
+                    np.take(self.joins[j - 1], ids, out=part[(2 * i + 1) << (j - 1)],
+                            mode="clip")
+                if j > 1:
+                    cols = [np.take(child, ids).astype(np.intp)
+                            for ids in cols for child in self.children[j - 2]]
+            out[a:b] = part.T
         return out
 
     def walks(self, rows: np.ndarray) -> np.ndarray:
         """Finished walks `rows`, in the given order: (len(rows), length+1)."""
-        return self._segments(rows, len(self.levels), np.take(self.ends, rows))
+        rows = np.asarray(rows)
+        if rows.size and not (0 <= rows.min() and rows.max() < self.ends.size):
+            raise IndexError(f"rows must lie in [0, {self.ends.size})")
+        return self._segments(rows, len(self.joins), np.take(self.starts, rows),
+                              np.take(self.ends, rows))
 
     @cached_property
     def verts(self) -> np.ndarray:
         """All finished walks, (K, length+1), in tree order."""
-        return self.walks(np.arange(self.starts.size, dtype=np.int32))
+        return self._segments(None, len(self.joins), self.starts, self.ends)
 
     def _prefixes(self, roots: np.ndarray | None = None) -> List[Tuple[int, np.ndarray]]:
         """(phase, failed label-1 prefixes of length 2**(phase-1)), only
@@ -467,7 +469,8 @@ class StitchResult:
         for phase, ids, starts, ends in self.failed:
             keep = slice(None) if roots is None else np.isin(starts, roots)
             if ids[keep].size:
-                chunks.append((phase, self._segments(ids[keep], phase - 1, ends[keep])))
+                chunks.append((phase, self._segments(ids[keep], phase - 1, starts[keep],
+                                                     ends[keep])))
         return chunks
 
     @cached_property
@@ -562,6 +565,19 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scatter_ranges(out: np.ndarray, idx: np.ndarray, first: np.ndarray,
+                    counts: np.ndarray) -> None:
+    """out[idx] = _ranges(first, counts), built and scattered a slice of
+    _CHUNK positions at a time, so that the ranges are never held whole."""
+    bounds = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    for a in range(0, idx.size, _CHUNK):
+        b = min(a + _CHUNK, idx.size)
+        lo, hi, part = _slice_runs(bounds, a, b)
+        skip = np.maximum(bounds[lo:hi], a) - bounds[lo:hi]   # cut from a range's head
+        _scatter(out, idx[a:b], _ranges(first[lo:hi] + skip, part))
+
+
 def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster,
            master_seed: int, cycle: int = 1) -> StitchResult:
     """One full doubling pass over an (n, length) int budget array: init
@@ -583,25 +599,29 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
     distinct segment drawn as a fresh walk from the key, so a key serves
     the first min(requests, stock) segments of its stock, block by block,
     and the served positions follow from the counts. Each served pair
-    becomes one segment of the next level, recorded as a pair of child
-    indices, written in requester order: a new segment takes its
-    requester's start and label, the next level keeps the order, and its
-    counts are the requester blocks' counts. When a key's stock is short,
-    fail_policy decides between aborting the run (on the smallest short
-    key) and serving a uniform subset of its requests: only then does the
-    phase draw its substream, to pick which requests of each short key
-    fail (_draw_failures). A failed request leaves its block's count, and
-    the rest are served by rank as in a key with stock to spare. The
-    unserved walks are logged if they carry label 1.
+    becomes one segment of the next level, written in requester order: a
+    new segment takes its requester's start and label, the next level
+    keeps the order, and its counts are the requester blocks' counts. The
+    tree records its join vertex, the requester's end, which its request
+    was grouped by, and from level 2 on its pair of child indices
+    (_add_level). When a key's stock is short, fail_policy decides between
+    aborting the run (on the smallest short key) and serving a uniform
+    subset of its requests: only then does the phase draw its substream,
+    to pick which requests of each short key fail (_draw_failures). A
+    failed request leaves its block's count, and the rest are served by
+    rank as in a key with stock to spare. The unserved walks are logged if
+    they carry label 1.
 
     Every index is int32, as a level holds fewer than 2^31 segments, and is
     cast to intp a slice at a time where it gathers or scatters; only the
     request order of a phase whose keys and positions need more than 32
-    bits together is int64 (_group_by_key). The leaf starts and the final
-    starts are rebuilt from the budgets and the final blocks after the
-    phase loop. A phase peaks at about 11 traced bytes a segment of level
-    0 on large levels, where level 0 takes 4, and a call with its walks
-    built at about _STITCH_BYTES resident.
+    bits together is int64 (_group_by_key). The final starts are rebuilt
+    from the final blocks after the phase loop. On acceptance criterion
+    9's baseline (4·10^7 segments) the phase loop peaks at about 15 traced
+    bytes a segment of level 0, in phase 1, where level 0 takes 4, the join
+    vertices 2 and the int64 request order 4, copied while the failed
+    requests are dropped; the finished tree takes about 7, and a call with
+    its walks built about _STITCH_BYTES resident.
 
     Each phase costs two supersteps (requests, then replies). Message words:
     a request is 3 words; a reply for a length-s segment is s+4 words (s+1
@@ -612,7 +632,8 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
     """
     ends = init_walks(g, budgets, params, master_seed, cycle)
     counts = budgets
-    levels: List[Tuple[np.ndarray, np.ndarray]] = []
+    joins: List[np.ndarray] = []
+    children: List[Tuple[np.ndarray, np.ndarray]] = []
     failed: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
     theory = params.mode == "theory"
     n = g.n
@@ -630,7 +651,8 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
         req_first, req_counts = offsets[:, 0::2].ravel(), counts[:, 0::2].ravel()
         srv_blocks = counts[:, 1::2]
         # the requester positions are built here for their ends, and again
-        # after serving, so they are not held while requests are grouped
+        # after serving, so they are not held while requests are grouped;
+        # the ends are where the served pairs join
         dest = _gather(ends, _ranges(req_first, req_counts))
         if theory:
             # key z * half + i asks vertex z for label (2i + 1) * s + 1, from
@@ -659,6 +681,9 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
         # requests are grouped by key in requester order; a short key drops
         # a uniform subset of its requests, and the rest are served
         order = _group_by_key(req_key, n_keys)
+        if theory:
+            req_key //= half   # back to the requesters' ends, in place
+        join = req_key.astype(np.int32, copy=False)
         del req_key
         lost = None   # ranks of the requests left unserved, in requester order
         served = req_counts   # requests per requester block that are served
@@ -689,43 +714,60 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
             before = np.cumsum(srv_blocks, axis=1) - srv_blocks
             take = np.clip(rcount[:, None] - before, 0, srv_blocks)
         served_srv = np.empty(int(req_counts.sum()), dtype=np.int32)
-        _scatter(served_srv, order, _ranges(offsets[:, 1::2].ravel(), take.ravel()))
+        _scatter_ranges(served_srv, order, offsets[:, 1::2].ravel(), take.ravel())
         del order
-        served_req = _ranges(req_first, req_counts)
-        if lost is not None:
-            served_req, served_srv = np.delete(served_req, lost), np.delete(served_srv, lost)
-        del lost
+        if lost is not None:   # one at a time: each old array goes before the next copy
+            served_srv = np.delete(served_srv, lost)
+            join = np.delete(join, lost)
 
         # each server lies in the positions of its requester's key: the
         # blocks of the requester's end vertex, and in theory mode the one
         # of the requester's label + s, so their vertices and labels join
         if theory:
-            _check_served(ends, served_req, served_srv, bounds[1::2], bounds[2::2],
-                          half, np.repeat(np.tile(np.arange(half, dtype=np.int32), n), served))
+            _check_served(join, served_srv, bounds[1::2], bounds[2::2], half,
+                          np.repeat(np.tile(np.arange(half, dtype=np.int32), n), served))
         else:
-            _check_served(ends, served_req, served_srv, bounds[:-1:2 * half],
-                          bounds[2 * half::2 * half])
+            _check_served(join, served_srv, bounds[:-1:2 * half], bounds[2 * half::2 * half])
         del bounds, offsets
 
+        # the next level's ends replace this level's before the requester
+        # ids are built again, so the two levels' ends and both id arrays
+        # are not held at once
         ends = _gather(ends, served_srv)
+        served_req = _ranges(req_first, req_counts)
+        if lost is not None:
+            served_req = np.delete(served_req, lost)
+        del lost
         counts = served.reshape(n, half)
         cluster.exchange_bulk(counts.sum(axis=1), words=s + 4, kind=KIND_REPLY)
-        levels.append((served_req, served_srv))
+        _add_level(joins, children, join, served_req, served_srv)
+        del join, served_req, served_srv
 
     assert counts.shape == (n, 1)   # only label-1 blocks remain
-    vertices = np.arange(n, dtype=np.int32)
-    return StitchResult(leaf_start=np.repeat(vertices, budgets.sum(axis=1)), levels=levels,
-                        starts=np.repeat(vertices, counts[:, 0]), ends=ends, failed=failed)
+    return StitchResult(joins=joins, children=children,
+                        starts=np.repeat(np.arange(n, dtype=np.int32), counts[:, 0]),
+                        ends=ends, failed=failed)
 
 
-def _check_served(ends: np.ndarray, served_req: np.ndarray, served_srv: np.ndarray,
-                  lo: np.ndarray, hi: np.ndarray, half: int = 1,
-                  column: np.ndarray | None = None) -> None:
+def _add_level(joins: List[np.ndarray], children: List[Tuple[np.ndarray, np.ndarray]],
+               join: np.ndarray, served_req: np.ndarray, served_srv: np.ndarray) -> None:
+    """Append one phase's level to the index tree: the join vertex of each
+    new segment and, from level 2 on, its requester and server ids at the
+    level below, its children; all in requester order. This is the one
+    place that sees every phase's served pairs; a level-1 segment is its
+    start, its join vertex and its end, so its pair is dropped here."""
+    if joins:
+        children.append((served_req, served_srv))
+    joins.append(join)
+
+
+def _check_served(join: np.ndarray, served_srv: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray, half: int = 1, column: np.ndarray | None = None) -> None:
     """Assert that each served server lies in [lo[k], hi[k]) for its
-    requester's key k: the requester's end vertex, or in theory mode that
-    vertex times half plus the requester's block column over two."""
-    for a in range(0, served_req.size, _CHUNK):
-        key = _gather(ends, served_req[a:a + _CHUNK]).astype(np.intp)
+    requester's key k: its join vertex, the requester's end, or in theory
+    mode that vertex times half plus the requester's block column over two."""
+    for a in range(0, join.size, _CHUNK):
+        key = join[a:a + _CHUNK].astype(np.intp)
         if column is not None:
             key *= half
             key += column[a:a + _CHUNK]

@@ -41,3 +41,19 @@ def substream_calls(monkeypatch):
 
     monkeypatch.setattr(engine, "substream", counting_substream)
     return calls
+
+
+@pytest.fixture
+def phase_pairs(monkeypatch):
+    """The served pairs of every phase the engine stitches, in order: the
+    requester ids and the server ids at level phase - 1, in requester order.
+    The index tree keeps them from level 2 on; these include level 1's."""
+    pairs = []
+    add_level = engine._add_level
+
+    def spy_add_level(joins, children, join, served_req, served_srv):
+        pairs.append((served_req, served_srv))
+        add_level(joins, children, join, served_req, served_srv)
+
+    monkeypatch.setattr(engine, "_add_level", spy_add_level)
+    return pairs

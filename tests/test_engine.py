@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -376,7 +377,7 @@ class TestStitch:
         res = stitch(g, vals, p, Cluster(), master_seed=11)
         assert res.verts.shape[1] == 3
         assert validate_walks(g, res.verts, lazy=False)
-        served = sum(req.size for req, _ in res.levels)
+        served = sum(join.size for join in res.joins)
         assert served == res.verts.shape[0]  # L = 2 is a single phase
 
     def test_request_reply_supersteps(self):
@@ -399,28 +400,30 @@ class TestStitch:
         vals[0, 1] = 5000
         res = stitch(g, vals, p, Cluster(), master_seed=6)
         share = np.bincount(res.starts, minlength=5)[1:] / 2500
-        assert sum(req.size for req, _ in res.levels) == 5000
+        assert sum(join.size for join in res.joins) == 5000
         assert np.all(np.abs(share - 0.5) <= 0.04)
 
     @pytest.mark.parametrize("mode", ["practical", "theory"])
-    def test_index_tree_and_walks_are_int32(self, mode):
+    def test_index_tree_and_walks_are_int32(self, mode, phase_pairs):
         g = cycle_graph(8)
         p = desk_params(length=8, target=1, base_budget=20.0, tau=1.01, mode=mode)
         budgets = initial_budgets(g, p)
         res = stitch(g, budgets, p, Cluster(), master_seed=3)
         assert res.failed  # stocks run short: the failed prefixes are built too
+        leaf_start = level0_blocks(budgets)[0]
         leaf_end = init_walks(g, budgets, p, master_seed=3)
         rows = np.arange(res.starts.size)
-        arrays = [a for pair in res.levels for a in pair] + [
-            res.starts, res.ends, res.leaf_ids(rows), res.leaf_ids(rows[:5], 0),
-            res.leaf_ids(rows[:5], 1), res.walks(rows),
-            res._segments(rows[:5], 2, leaf_end[res.leaf_ids(rows[:5], 2)[:, -1]]), res.verts]
+        ids = leaf_ids(phase_pairs, rows[:5], 2)
+        arrays = res.joins + [a for pair in res.children + phase_pairs for a in pair] + [
+            res.starts, res.ends, res.walks(rows),
+            res._segments(rows[:5], 2, leaf_start[ids[:, 0]], leaf_end[ids[:, -1]]),
+            res.verts]
         arrays += [a for _, *record in res.failed for a in record]
         arrays += [chunk for _, chunk in res.failed_chunks]
         assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)
 
     @pytest.mark.parametrize("mode", ["practical", "theory"])
-    def test_int64_request_order_serves_alike(self, monkeypatch, mode):
+    def test_int64_request_order_serves_alike(self, monkeypatch, mode, phase_pairs):
         # a phase whose keys and positions need more than 32 bits groups its
         # requests into an int64 order; a stable argsort gives one in every
         # phase, and the pass must be the same, failures included
@@ -432,42 +435,84 @@ class TestStitch:
                             lambda key, n_keys: np.argsort(key, kind="stable"))
         wide = stitch(g, budgets, p, Cluster(), master_seed=3)
         assert packed.failed and len(packed.failed) == len(wide.failed)
-        for a, b in zip(packed.levels + [(packed.starts, packed.ends)],
-                        wide.levels + [(wide.starts, wide.ends)]):
+        assert len(packed.joins) == len(wide.joins) == 3 and len(phase_pairs) == 6
+        for a, b in zip(packed.joins + [packed.starts, packed.ends],
+                        wide.joins + [wide.starts, wide.ends]):
+            assert np.array_equal(a, b)
+        for a, b in zip(packed.children + phase_pairs[:3], wide.children + phase_pairs[3:]):
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         for a, b in zip(packed.failed, wide.failed):
             assert a[0] == b[0] and all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
 
     @pytest.mark.parametrize("chunk", [1, 8, 64])
-    def test_walk_slices_match_one_call(self, monkeypatch, chunk):
+    def test_walk_slices_match_one_call(self, monkeypatch, chunk, phase_pairs):
         g = cycle_graph(8)
         p = desk_params(length=8, target=1, base_budget=20.0, tau=1.01)
         budgets = initial_budgets(g, p)
         res = stitch(g, budgets, p, Cluster(), master_seed=3)
-        assert len(res.levels) == 3
+        assert len(res.joins) == len(phase_pairs) == 3
+        leaf_start = level0_blocks(budgets)[0]
         leaf_end = init_walks(g, budgets, p, master_seed=3)
         rng = np.random.default_rng(chunk)
         cases = []
         for level in (0, 1, 3):
-            size = res.levels[level - 1][0].size if level else res.leaf_start.size
-            rows = rng.permutation(size)[: size // 2]
-            cases.append((rows, level, one_call_walks(res, rows, level, leaf_end)))
+            rows = rng.permutation(level_size(phase_pairs, budgets, level))
+            rows = rows[: rows.size // 2]
+            cases.append((rows, level,
+                          one_call_walks(phase_pairs, rows, level, leaf_start, leaf_end)))
+        every = one_call_walks(phase_pairs, np.arange(res.starts.size), 3,
+                               leaf_start, leaf_end)
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         for rows, level, ref in cases:
             assert rows.size > chunk
-            assert np.array_equal(res._segments(rows, level, ref[:, -1]), ref)
+            assert np.array_equal(res._segments(rows, level, ref[:, 0], ref[:, -1]), ref)
         assert np.array_equal(res.walks(rows), ref)   # the last case: finished walks
+        assert np.array_equal(res.verts, every)    # all of them, from contiguous slices
 
 
-def one_call_walks(res, rows, level, leaf_end):
-    """Segments `rows` of `level` built from one leaf_ids call over all rows,
-    with the level-0 ends `leaf_end` of init_walks: the segments that
-    StitchResult builds slice by slice."""
-    ids = res.leaf_ids(rows, level)
+def leaf_ids(pairs, rows, level) -> np.ndarray:
+    """Leaf segment ids under segments `rows` of `level`, left to right,
+    from the served pairs of every phase: shape (len(rows), 2**level)."""
+    cols = [np.asarray(rows)]
+    for left, right in reversed(pairs[:level]):
+        cols = [child[c] for c in cols for child in (left, right)]
+    return np.stack(cols, axis=1)
+
+
+def level_size(pairs, budgets, level) -> int:
+    """Number of segments at `level` of a pass with the served pairs
+    `pairs` over `budgets`."""
+    return pairs[level - 1][0].size if level else int(budgets.sum())
+
+
+def one_call_walks(pairs, rows, level, leaf_start, leaf_end):
+    """Segments `rows` of `level` built from their leaf ids in one call,
+    with level 0's starts `leaf_start` and ends `leaf_end`: the segments
+    that StitchResult builds slice by slice from its join vertices."""
+    ids = leaf_ids(pairs, rows, level)
     out = np.empty((ids.shape[0], ids.shape[1] + 1), dtype=np.int32)
-    out[:, :-1] = res.leaf_start[ids]
+    out[:, :-1] = leaf_start[ids]
     out[:, -1] = leaf_end[ids[:, -1]]
     return out
+
+
+WORKING_SET_CASES = {
+    "cliques-L64-lazy": (two_cliques(17), desk_params(length=64, target=1, base_budget=7.0,
+                                                      tau=1.15, laziness="half")),
+    "gnp-L4-short": (gnp(300, 0.1, seed=3), desk_params(length=4, target=1,
+                                                        base_budget=4.0, tau=1.0)),
+    "c8-L8-theory": (cycle_graph(8), desk_params(length=8, target=1, base_budget=2.0,
+                                                 tau=1.5, mode="theory")),
+}
+
+
+def array_bytes(value) -> int:
+    """Summed nbytes of the arrays in `value` and in its lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, (list, tuple)):
+        return sum(array_bytes(v) for v in value)
+    return 0
 
 
 class TestWorkingSet:
@@ -477,15 +522,11 @@ class TestWorkingSet:
     temporaries the rest. The last two cases have fewer segments than one
     slice of init_walks, so their peak is level 0 plus that slice's draws."""
 
-    @pytest.mark.parametrize("graph, params, bound", [
-        (two_cliques(17), desk_params(length=64, target=1, base_budget=7.0, tau=1.15,
-                                      laziness="half"), 17.0),
-        (gnp(300, 0.1, seed=3), desk_params(length=4, target=1, base_budget=4.0,
-                                            tau=1.0), 22.0),
-        (cycle_graph(8), desk_params(length=8, target=1, base_budget=2.0, tau=1.5,
-                                     mode="theory"), 22.0),
-    ], ids=["cliques-L64-lazy", "gnp-L4-short", "c8-L8-theory"])
-    def test_peak_bytes_per_segment(self, graph, params, bound):
+    @pytest.mark.parametrize("case, bound", [
+        ("cliques-L64-lazy", 16.0), ("gnp-L4-short", 22.0), ("c8-L8-theory", 22.0)],
+        ids=list(WORKING_SET_CASES))
+    def test_peak_bytes_per_segment(self, case, bound):
+        graph, params = WORKING_SET_CASES[case]
         budgets = initial_budgets(graph, params)
         segments = int(budgets.sum())
         assert segments > 100_000  # fixed costs are noise at this size
@@ -498,6 +539,20 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert bool(res.failed) == (params.surplus == 1.0)
         assert peak / segments <= bound
+
+    @pytest.mark.parametrize("case, bound", [
+        ("cliques-L64-lazy", 6.0), ("gnp-L4-short", 7.0), ("c8-L8-theory", 1.2)],
+        ids=list(WORKING_SET_CASES))
+    def test_tree_bytes_per_segment(self, case, bound):
+        # the returned tree keeps one int32 join vertex a segment of each
+        # level above 0, child ids from level 2 on, the finished walks'
+        # starts and ends and the failure records: about 6 bytes a segment
+        # of level 0 when most segments are stitched, far less when few are
+        graph, params = WORKING_SET_CASES[case]
+        budgets = initial_budgets(graph, params)
+        res = stitch(graph, budgets, params, Cluster(), master_seed=1)
+        tree = sum(array_bytes(getattr(res, f.name)) for f in dataclasses.fields(res))
+        assert tree / int(budgets.sum()) <= bound
 
     @pytest.mark.parametrize("chunk", [1 << 14, engine._CHUNK], ids=["16384", "default"])
     @pytest.mark.parametrize("laziness", ["none", "half"])
@@ -599,55 +654,64 @@ class TestDrawFailures:
             assert chi2 < CHI2_999[len(subsets) - 1]
 
 
-def all_leaf_ids(res) -> np.ndarray:
-    """Leaf ids under every finished walk and every failed prefix of a pass."""
-    parts = [res.leaf_ids(np.arange(res.starts.size)).ravel()]
-    parts += [res.leaf_ids(ids, phase - 1).ravel() for phase, ids, *_ in res.failed]
+def all_leaf_ids(res, pairs) -> np.ndarray:
+    """Leaf ids under every finished walk and every failed prefix of a pass
+    whose phases served `pairs`."""
+    parts = [leaf_ids(pairs, np.arange(res.starts.size), len(pairs)).ravel()]
+    parts += [leaf_ids(pairs, ids, phase - 1).ravel() for phase, ids, *_ in res.failed]
     return np.concatenate(parts)
 
 
-def assert_leaves_join(res, leaf_end) -> None:
+def assert_leaves_join(res, pairs, budgets, leaf_end) -> None:
     """Each leaf of a walk starts where the one before it ends, given the
-    level-0 ends `leaf_end` of init_walks."""
-    ids = res.leaf_ids(np.arange(res.starts.size))
-    assert np.array_equal(leaf_end[ids[:, :-1]], res.leaf_start[ids[:, 1:]])
-    assert np.array_equal(res.leaf_start[ids[:, 0]], res.starts)
+    level-0 ends `leaf_end` of init_walks and the starts that `budgets`
+    imply; the walks and failed prefixes built from the tree are those
+    leaves' starts plus the last leaf's end."""
+    leaf_start = level0_blocks(budgets)[0]
+    ids = leaf_ids(pairs, np.arange(res.starts.size), len(pairs))
+    assert np.array_equal(leaf_end[ids[:, :-1]], leaf_start[ids[:, 1:]])
+    assert np.array_equal(leaf_start[ids[:, 0]], res.starts)
+    assert np.array_equal(res.verts, one_call_walks(pairs, np.arange(res.starts.size),
+                                                    len(pairs), leaf_start, leaf_end))
+    assert len(res.failed_chunks) == len(res.failed)
+    for (phase, ids, _, _), (_, chunk) in zip(res.failed, res.failed_chunks):
+        assert np.array_equal(chunk,
+                              one_call_walks(pairs, ids, phase - 1, leaf_start, leaf_end))
 
 
 class TestSegmentDisjointness:
     """Every request gets its own segment: no length-1 segment appears twice
     among the walks and failed prefixes of one stitch pass."""
 
-    def test_tolerate_run_with_failures(self):
+    def test_tolerate_run_with_failures(self, phase_pairs):
         g = cycle_graph(8)
         p = desk_params(length=8, target=1, base_budget=20.0, tau=1.0)
         budgets = initial_budgets(g, p)
         res = stitch(g, budgets, p, Cluster(), master_seed=3)
         assert res.failed  # no surplus: stocks run short in every phase
-        leaves = all_leaf_ids(res)
+        leaves = all_leaf_ids(res, phase_pairs)
         assert np.unique(leaves).size == leaves.size
-        assert_leaves_join(res, init_walks(g, budgets, p, master_seed=3))
+        assert_leaves_join(res, phase_pairs, budgets, init_walks(g, budgets, p, master_seed=3))
         assert validate_walks(g, res.verts, lazy=False)
 
-    def test_uniform_stitching(self, monkeypatch):
-        level0 = []   # what the engine's init_walks call returns
+    def test_uniform_stitching(self, monkeypatch, phase_pairs):
+        level0 = []   # the budgets of the engine's init_walks call, and what it returns
 
-        def spy_init_walks(*args, **kwargs):
-            level0.append(init_walks(*args, **kwargs))
-            return level0[-1]
+        def spy_init_walks(g, budgets, *args, **kwargs):
+            level0.append((budgets, init_walks(g, budgets, *args, **kwargs)))
+            return level0[-1][1]
 
         monkeypatch.setattr(engine, "init_walks", spy_init_walks)
         res = uniform_stitching(gnp(40, 0.2, seed=2), 3, 8, seed=4, tau=1.0).result
         assert res.failed
-        leaves = all_leaf_ids(res)
+        leaves = all_leaf_ids(res, phase_pairs)
         assert np.unique(leaves).size == leaves.size
-        assert_leaves_join(res, level0[0])
+        assert_leaves_join(res, phase_pairs, *level0[0])
 
 
-def first_leaves(res, level: int) -> np.ndarray:
+def first_leaves(pairs, budgets, level: int) -> np.ndarray:
     """Leaf id of the first step of every segment of `level`."""
-    size = res.levels[level - 1][0].size if level else res.leaf_start.size
-    return res.leaf_ids(np.arange(size), level)[:, 0]
+    return leaf_ids(pairs, np.arange(level_size(pairs, budgets, level)), level)[:, 0]
 
 
 class TestLevelOrder:
@@ -661,21 +725,29 @@ class TestLevelOrder:
         ("theory", 1.01, "tolerate", True),
         ("theory", 1.3, "abort", False),
     ], ids=["practical-short", "practical-ample", "theory-short", "theory-ample"])
-    def test_levels_sorted_and_labels_join(self, mode, tau, fail_policy, short, laziness):
+    def test_levels_sorted_and_labels_join(self, mode, tau, fail_policy, short, laziness,
+                                           phase_pairs):
         g = cycle_graph(8)
         p = desk_params(length=8, target=1, base_budget=20.0, tau=tau,
                         laziness=laziness, fail_policy=fail_policy, mode=mode)
         budgets = initial_budgets(g, p)
         res = stitch(g, budgets, p, Cluster(), master_seed=11, cycle=2)
         assert bool(res.failed) == short
-        labels = level0_blocks(budgets)[1]
-        for level in range(len(res.levels) + 1):
-            first = first_leaves(res, level)
-            key = res.leaf_start[first].astype(np.int64) * (p.length + 1) + labels[first]
+        assert len(phase_pairs) == len(res.joins) == len(res.children) + 1
+        leaf_start, labels = level0_blocks(budgets)
+        for level in range(len(phase_pairs) + 1):
+            first = first_leaves(phase_pairs, budgets, level)
+            key = leaf_start[first].astype(np.int64) * (p.length + 1) + labels[first]
             assert np.all(np.diff(key) >= 0)
-        if mode == "theory":
-            for phase, (left, right) in enumerate(res.levels, start=1):
-                below = first_leaves(res, phase - 1)
+        for phase, (left, right) in enumerate(phase_pairs, start=1):
+            below = first_leaves(phase_pairs, budgets, phase - 1)
+            # the tree keeps each pair's join vertex, where its server starts,
+            # and from level 2 on the pair itself
+            assert np.array_equal(res.joins[phase - 1], leaf_start[below[right]])
+            if phase > 1:
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(res.children[phase - 2], (left, right)))
+            if mode == "theory":
                 assert np.array_equal(labels[below[left]] + (1 << (phase - 1)),
                                       labels[below[right]])
 
@@ -929,7 +1001,7 @@ class TestUniformStitching:
         g = cycle_graph(8)
         uni = uniform_stitching(g, 2, 1, seed=3, tau=1.0)
         res = uni.result
-        assert res.levels == [] and not res.failed
+        assert res.joins == [] and res.children == [] and not res.failed
         assert res.verts.shape == (32, 2)          # budget 2 * degree 2 on 8 vertices
         assert np.array_equal(res.verts[:, 0], res.starts)
         assert np.all(np.diff(res.starts) >= 0)    # grouped by start, not shuffled

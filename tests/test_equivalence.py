@@ -77,9 +77,10 @@ def test_theory_tolerate_run_budgeted():
 
 
 def test_theory_wide_keys_run_budgeted():
-    # 1024 * 9 (vertex, label) keys take 14 bits, and phase 1's 360 448
-    # requests 19: grouping them packs 33 bits into uint64 words, while
-    # phases 2 and 3 fit in uint32. Phase 1 has short keys too.
+    # 1024 * 4 (vertex, label) keys take 12 bits, and phase 1's 360 448
+    # requests 19: grouping them packs 31 bits into uint32 words, as do
+    # phases 2 and 3 (TestStitch::test_int64_request_order_serves_alike
+    # covers the int64 order). Phase 1 has short keys too.
     p = StitchParams(length=8, target=1, growth=10.0, threshold=10.0,
                      base_budget=40.0, surplus=1.01, mode="theory", fail_policy="tolerate")
     run = run_budgeted(cycle_graph(1024), 0, p, seed=5)
