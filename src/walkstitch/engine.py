@@ -22,12 +22,12 @@ Two operating modes:
 Every level of segments is kept in (start vertex, first label) order,
 implied by block counts: a level is its segments' end vertices plus the
 number of segments of each (start vertex, label) block, so the stock of
-each serving key lies contiguous, in an order that does not depend on where
-its segments go, and is served as it lies. A pass returns an immutable
-index tree that keeps, for each segment of a level above 0, the vertex
-where its two halves join: a walk is its start, the join vertices of the
-nodes under it in step order, and its end; it is built once, when it is
-returned.
+each serving key is a run of its vertex's blocks, in an order that does
+not depend on where its segments go, and is served as it lies. A pass
+returns an immutable index tree that keeps, for each segment of a level
+above 0, the vertex where its two halves join: a walk is its start, the
+join vertices of the nodes under it in step order, and its end; it is
+built once, when it is returned.
 
 Randomness comes from one substream per purpose and step, keyed by the run
 seed: one per cycle draws every length-1 segment, one per (cycle, phase)
@@ -591,37 +591,41 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
     2^(j-1), the blocks of even columns (label 1 mod 2s) request and those
     of odd columns (label s+1 mod 2s) serve, so both sides' positions are
     ranges of block offsets. Every requester asks the vertex at its end for
-    a segment, grouped by serving key: the vertex in practical mode,
-    (vertex, needed label) in theory mode. A key's stock is its server
-    blocks, in position order, which depends only on the starts, labels
-    and order of the level's segments, never on where they lead; the
-    request of rank r in a key takes the key's stock segment of rank r, a
-    distinct segment drawn as a fresh walk from the key, so a key serves
-    the first min(requests, stock) segments of its stock, block by block,
-    and the served positions follow from the counts. Each served pair
-    becomes one segment of the next level, written in requester order: a
-    new segment takes its requester's start and label, the next level
-    keeps the order, and its counts are the requester blocks' counts. The
-    tree records its join vertex, the requester's end, which its request
-    was grouped by, and from level 2 on its pair of child indices
-    (_add_level). When a key's stock is short, fail_policy decides between
-    aborting the run (on the smallest short key) and serving a uniform
-    subset of its requests: only then does the phase draw its substream,
-    to pick which requests of each short key fail (_draw_failures). A
-    failed request leaves its block's count, and the rest are served by
-    rank as in a key with stock to spare. The unserved walks are logged if
-    they carry label 1.
+    a segment from the stock of its key, a vertex and a run of its server
+    columns: per keys a vertex, each owning half / per columns, with per =
+    1 in practical mode (one pooled key) and per = half in theory mode (a
+    key per needed label, so requester column 2i asks for column i). A
+    key's stock is its server blocks, in position order, which depends
+    only on the starts, labels and order of the level's segments, never on
+    where they lead; the request of rank r in a key takes the key's stock
+    segment of rank r, a distinct segment drawn as a fresh walk from the
+    key, so a key serves the first min(requests, stock) segments of its
+    stock, block by block, and the served positions follow from the
+    counts (_check_served checks them). Each served pair becomes one
+    segment of the next level, written in requester order: a new segment
+    takes its requester's start and label, the next level keeps the order,
+    and its counts are the requester blocks' counts. The tree records its
+    join vertex, the requester's end (its key over per), and from level 2
+    on its pair of child indices (_add_level). When a key's stock is
+    short, fail_policy decides between aborting the run on the smallest
+    short key (StitchFailure names its label in theory mode, None for a
+    pooled stock) and serving a uniform subset of its requests: only then
+    does the phase draw its substream, to pick which requests of each
+    short key fail (_draw_failures). A failed request leaves its block's
+    count, and the rest are served by rank as in a key with stock to
+    spare. The unserved walks are logged if they carry label 1.
 
     Every index is int32, as a level holds fewer than 2^31 segments, and is
     cast to intp a slice at a time where it gathers or scatters; only the
-    request order of a phase whose keys and positions need more than 32
-    bits together is int64 (_group_by_key). The final starts are rebuilt
-    from the final blocks after the phase loop. On acceptance criterion
-    9's baseline (4·10^7 segments) the phase loop peaks at about 15 traced
-    bytes a segment of level 0, in phase 1, where level 0 takes 4, the join
-    vertices 2 and the int64 request order 4, copied while the failed
-    requests are dropped; the finished tree takes about 7, and a call with
-    its walks built about _STITCH_BYTES resident.
+    keys of a phase with more than 2^31 of them, and the request order of
+    a phase whose keys and positions need more than 32 bits together, are
+    int64 (_group_by_key). The final starts are rebuilt from the final
+    blocks after the phase loop. On acceptance criterion 9's baseline
+    (4·10^7 segments) the phase loop peaks at about 15 traced bytes a
+    segment of level 0, in phase 1, where level 0 takes 4, the keys 2 and
+    the int64 request order 4, copied while the failed requests are
+    dropped; the finished tree takes about 7, and a call with its walks
+    built about _STITCH_BYTES resident.
 
     Each phase costs two supersteps (requests, then replies). Message words:
     a request is 3 words; a reply for a length-s segment is s+4 words (s+1
@@ -642,6 +646,9 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
     for phase in range(1, phases + 1):
         s = 1 << (phase - 1)
         half = counts.shape[1] // 2
+        # key z * per + c owns server columns c w .. (c + 1) w - 1 of vertex z
+        per = half if theory else 1
+        w = half // per
         # block (v, i) of the level starts at position bounds[v * 2 * half + i];
         # temporaries are dropped as soon as they are used: they set the
         # peak memory of a phase
@@ -649,42 +656,27 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
         np.cumsum(counts, out=bounds[1:])
         offsets = bounds[:-1].reshape(counts.shape)
         req_first, req_counts = offsets[:, 0::2].ravel(), counts[:, 0::2].ravel()
-        srv_blocks = counts[:, 1::2]
+        srv_blocks = counts[:, 1::2].reshape(n * per, w)
         # the requester positions are built here for their ends, and again
         # after serving, so they are not held while requests are grouped;
         # the ends are where the served pairs join
-        dest = _gather(ends, _ranges(req_first, req_counts))
-        if theory:
-            # key z * half + i asks vertex z for label (2i + 1) * s + 1, from
-            # the requesters of block column 2i
-            n_keys = n * half
-            req_key = dest.astype(np.int32 if n_keys <= 1 << 31 else np.int64)
-            req_key *= half
-            req_key += np.repeat(np.tile(np.arange(half, dtype=req_key.dtype), n), req_counts)
-            rcount = np.bincount(req_key, minlength=n_keys)
-            scount = srv_blocks.ravel()
-            cluster.exchange_bulk(rcount.reshape(n, half).sum(axis=1), words=3,
-                                  kind=KIND_REQUEST)
-        else:
-            n_keys = n
-            req_key = dest
-            rcount = np.bincount(req_key, minlength=n_keys)
-            scount = srv_blocks.sum(axis=1)
-            cluster.exchange_bulk(rcount, words=3, kind=KIND_REQUEST)
-        del dest
+        key = _gather(ends, _ranges(req_first, req_counts))
+        key = key.astype(np.int32 if n * per <= 1 << 31 else np.int64, copy=False)
+        if per > 1:   # the requesters of block column 2c ask for key column c
+            key *= per
+            key += np.repeat(np.tile(np.arange(per, dtype=key.dtype), n), req_counts)
+        rcount = np.bincount(key, minlength=n * per)
+        scount = srv_blocks.sum(axis=1)
+        cluster.exchange_bulk(rcount.reshape(n, per).sum(axis=1), words=3, kind=KIND_REQUEST)
         short = np.flatnonzero(rcount > scount)
         if short.size and params.fail_policy == "abort":
-            key = int(short[0])
-            z, needed = (key // half, (key % half * 2 + 1) * s + 1) if theory else (key, None)
-            raise StitchFailure(z, needed, phase, int(rcount[key] - scount[key]), cycle)
+            k = int(short[0])
+            raise StitchFailure(k // per, (k % per * 2 + 1) * s + 1 if theory else None,
+                                phase, int(rcount[k] - scount[k]), cycle)
 
         # requests are grouped by key in requester order; a short key drops
         # a uniform subset of its requests, and the rest are served
-        order = _group_by_key(req_key, n_keys)
-        if theory:
-            req_key //= half   # back to the requesters' ends, in place
-        join = req_key.astype(np.int32, copy=False)
-        del req_key
+        order = _group_by_key(key, n * per)
         lost = None   # ranks of the requests left unserved, in requester order
         served = req_counts   # requests per requester block that are served
         if short.size:
@@ -708,27 +700,25 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
 
         # key k serves the first rcount[k] segments of its stock, block by
         # block, to its requests in rank order
-        if theory:
-            take = rcount.reshape(n, half)
-        else:
-            before = np.cumsum(srv_blocks, axis=1) - srv_blocks
-            take = np.clip(rcount[:, None] - before, 0, srv_blocks)
+        take = np.clip(rcount[:, None] - (np.cumsum(srv_blocks, axis=1) - srv_blocks),
+                       0, srv_blocks)
         served_srv = np.empty(int(req_counts.sum()), dtype=np.int32)
         _scatter_ranges(served_srv, order, offsets[:, 1::2].ravel(), take.ravel())
         del order
         if lost is not None:   # one at a time: each old array goes before the next copy
             served_srv = np.delete(served_srv, lost)
-            join = np.delete(join, lost)
+            key = np.delete(key, lost)
 
-        # each server lies in the positions of its requester's key: the
-        # blocks of the requester's end vertex, and in theory mode the one
-        # of the requester's label + s, so their vertices and labels join
-        if theory:
-            _check_served(join, served_srv, bounds[1::2], bounds[2::2], half,
-                          np.repeat(np.tile(np.arange(half, dtype=np.int32), n), served))
-        else:
-            _check_served(join, served_srv, bounds[:-1:2 * half], bounds[2 * half::2 * half])
+        # each server lies in its key's stock, so the pair's vertices join
+        try:
+            _check_served(key, served_srv, bounds[1::2 * w], bounds[2 * w::2 * w])
+        except EngineError as err:
+            raise EngineError(f"phase {phase}, cycle {cycle}: {err}") from None
         del bounds, offsets
+        if per > 1:
+            key //= per   # back to the requesters' ends, in place
+        join = key.astype(np.int32, copy=False)
+        del key
 
         # the next level's ends replace this level's before the requester
         # ids are built again, so the two levels' ends and both id arrays
@@ -761,18 +751,21 @@ def _add_level(joins: List[np.ndarray], children: List[Tuple[np.ndarray, np.ndar
     joins.append(join)
 
 
-def _check_served(join: np.ndarray, served_srv: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray, half: int = 1, column: np.ndarray | None = None) -> None:
-    """Assert that each served server lies in [lo[k], hi[k]) for its
-    requester's key k: its join vertex, the requester's end, or in theory
-    mode that vertex times half plus the requester's block column over two."""
-    for a in range(0, join.size, _CHUNK):
-        key = join[a:a + _CHUNK].astype(np.intp)
-        if column is not None:
-            key *= half
-            key += column[a:a + _CHUNK]
+def _check_served(key: np.ndarray, served_srv: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> None:
+    """Raise EngineError unless each served server lies in [lo[k], hi[k])
+    for its request's key k: from the start of the key's first server block
+    to the end of its last. In practical mode a key's server blocks are
+    not contiguous, so a server from a requester block that lies between
+    two server blocks of the same vertex still passes."""
+    for a in range(0, key.size, _CHUNK):
+        k = key[a:a + _CHUNK].astype(np.intp)
         srv = served_srv[a:a + _CHUNK]
-        assert np.all(lo[key] <= srv) and np.all(srv < hi[key])
+        bad = (srv < lo[k]) | (srv >= hi[k])
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise EngineError(f"server {srv[i]} lies outside the stock [{lo[k[i]]}, "
+                              f"{hi[k[i]]}) of key {k[i]}")
 
 
 def cycle_plan(target: int, growth: float) -> Tuple[int, int]:

@@ -360,6 +360,57 @@ class TestStitch:
         assert exc.value.deficit == 1
         assert exc.value.vertex in (1, 3)
 
+    def test_theory_abort_names_the_key_column_label(self):
+        # on the path 0 - 1 a level-1 segment returns to its start, so in
+        # phase 2 (s = 2, half = 2) vertex 1's three label-5 requesters ask
+        # vertex 1 for label (2·1 + 1)·2 + 1 = 7, of which it holds one;
+        # every phase-1 key and every other phase-2 key has stock to spare
+        g = path_graph(2)
+        p = desk_params(length=8, target=1, mode="theory", fail_policy="abort")
+        vals = np.ones((2, 8), dtype=np.int64)
+        vals[1, 4] = 3   # label 5 at vertex 1
+        vals[0, 5] = 3   # label 6 at vertex 0 serves them in phase 1
+        with pytest.raises(StitchFailure) as exc:
+            stitch(g, vals, p, Cluster(), master_seed=5)
+        assert (exc.value.phase, exc.value.vertex) == (2, 1)
+        assert exc.value.label == 7
+        assert exc.value.deficit == 2
+
+    def test_practical_abort_names_the_pooled_vertex(self):
+        # in phase 1 vertex 0's label-1 and label-3 requesters (2 + 2) ask
+        # vertex 1, whose pooled stock of labels 2 and 4 holds 1 + 1
+        g = path_graph(2)
+        p = desk_params(length=4, target=1, fail_policy="abort")
+        vals = np.array([[2, 1, 2, 1], [1, 1, 1, 1]], dtype=np.int64)
+        with pytest.raises(StitchFailure) as exc:
+            stitch(g, vals, p, Cluster(), master_seed=5)
+        assert (exc.value.phase, exc.value.vertex) == (1, 1)
+        assert exc.value.label is None
+        assert exc.value.deficit == 2
+
+    @pytest.mark.parametrize("mode", ["practical", "theory"])
+    def test_misplaced_server_raises(self, monkeypatch, mode):
+        # phase 1 at L 4 (half = 2) serves the first request in key order
+        # from the label-1 requester block of its key's vertex instead: the
+        # block just before that vertex's first server block
+        scatter_ranges = engine._scatter_ranges
+        calls = []
+
+        def misplace(out, idx, first, counts):
+            scatter_ranges(out, idx, first, counts)
+            if not calls:
+                block = np.searchsorted(first, out[idx[0]], side="right") - 1
+                out[idx[0]] = first[block - block % 2] - 1
+            calls.append(idx.size)
+
+        monkeypatch.setattr(engine, "_scatter_ranges", misplace)
+        g = cycle_graph(4)
+        p = desk_params(length=4, target=1, mode=mode)
+        vals = np.full((4, 4), 5, dtype=np.int64)
+        with pytest.raises(engine.EngineError, match="phase 1, cycle 1: server .* outside"):
+            stitch(g, vals, p, Cluster(), master_seed=5)
+        assert len(calls) == 1
+
     def test_int32_segment_limit_checked_before_allocating(self):
         g = cycle_graph(4)
         p = StitchParams(length=2, target=1, growth=2.0, threshold=1.0,
