@@ -12,7 +12,7 @@ from .engine import (StitchParams, StitchFailure,
                      initial_budgets, init_walks, stitch, update_budgets,
                      run_budgeted, run_multi_source, uniform_stitching,
                      dyadic_decompose, validate_walks, round_length,
-                     growth_power, cycle_plan, label_multipliers)
+                     cycle_plan, label_multipliers)
 from .ppr import (PPRParams, WalkBatch, SweepResult, LocalClusterResult,
                   PPRError, WalkShortfall, approx_ppr, sweep, local_cluster,
                   conductance_bound)

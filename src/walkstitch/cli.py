@@ -326,9 +326,11 @@ def cmd_walks(args) -> int:
                    "cycle,budget_total,rooted_attempted,rooted_ok,failure_rate",
                    ((s.cycle, s.budget_total, s.rooted_attempted, s.rooted_ok,
                      s.failure_rate) for s in run.cycle_stats))
+    ok = int(run.walks.shape[0])
     payload = {"metrics": asdict(run.metrics),
                "params": asdict(params),
-               "walks_ok": int(run.walks.shape[0]),
+               "walks_ok": ok,
+               "shortfall": max(0, params.target - ok),
                "walks_valid": validate_walks(g, run.walks, params.lazy)}
     write_report(args.report, payload, args, wall)
     return EXIT_OK

@@ -61,6 +61,7 @@ _CHUNK = 1 << 18   # segments or indices per slice of draws, gathers, scatters a
 # 625 MiB over 3.97e7 segments (16.5) in acceptance criterion 9's all-vertex
 # baseline
 _STITCH_BYTES = 17
+_MEMINFO = "/proc/meminfo"   # its MemAvailable line bounds that charge
 
 LAZINESS = ("none", "half")
 MODES = ("theory", "practical")
@@ -95,14 +96,6 @@ def round_length(length: int) -> int:
     if length < 1:
         raise ParameterError("walk length must be >= 1")
     return 1 << (length - 1).bit_length()
-
-
-def growth_power(growth: float, exponent: int) -> float:
-    """growth**exponent by repeated multiplication (reproducible arithmetic)."""
-    p = 1.0
-    for _ in range(exponent):
-        p *= growth
-    return p
 
 
 @dataclass(frozen=True)
@@ -237,15 +230,16 @@ def initial_budgets(g: Graph, params: StitchParams) -> np.ndarray:
                                           label_multipliers(params)))
 
 
-def update_budgets(walks: np.ndarray, exponent: int, params: StitchParams,
-                   g: Graph, num_roots: int = 1) -> np.ndarray:
+def update_budgets(walks: np.ndarray, scale: float, params: StitchParams,
+                   g: Graph) -> np.ndarray:
     """Re-estimate budgets from one cycle's rooted walks, as an (n, length)
     int64 array: entry [v, k-1] is the budget of (vertex v, label k).
 
-    For label k, kappa(v) counts walks whose k-th vertex (the vertex reached
-    after k-1 steps) is v. Entries with kappa >= threshold get
-    (base(v) + num_roots * growth^exponent * kappa / |W|) * multiplier(k);
-    the rest fall back to base(v) * multiplier(k). Budgets round up.
+    `scale` is the number of rooted walks, summed over all roots, that the
+    next cycle budgets. For label k, kappa(v) counts walks whose k-th vertex
+    (the vertex reached after k-1 steps) is v. Entries with kappa >=
+    threshold get (base(v) + scale * kappa / |W|) * multiplier(k); the rest
+    fall back to base(v) * multiplier(k). Budgets round up.
     """
     if walks.ndim != 2 or walks.shape[0] == 0:
         raise EngineError("budget update requires a non-empty set of rooted walks")
@@ -253,14 +247,13 @@ def update_budgets(walks: np.ndarray, exponent: int, params: StitchParams,
         raise EngineError(
             f"rooted walks must have length {params.length}, got {walks.shape[1] - 1}")
     w_count = walks.shape[0]
-    lam_pow = growth_power(params.growth, exponent)
     mult = label_multipliers(params)
     base = params.base_budget * g.degrees.astype(float)
     counts = np.empty((params.length, g.n), dtype=np.int64)
     for k in range(params.length):
         counts[k] = np.bincount(walks[:, k], minlength=g.n)
     # product before division keeps integer-valued estimates exact
-    kappa_term = (lam_pow * num_roots) * counts.astype(float) / w_count
+    kappa_term = scale * counts.astype(float) / w_count
     raw = np.where(counts >= params.threshold, base[None, :] + kappa_term, base[None, :])
     raw = raw * mult[:, None]
     return _budget_from_float(g, raw.T)
@@ -278,8 +271,8 @@ def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
     uniform neighbor step.
 
     The ends take 4 bytes a segment, and the stitch that follows about
-    _STITCH_BYTES in all; a run whose segments would need more than
-    physical memory at that rate raises EngineError before anything is
+    _STITCH_BYTES in all; a run whose segments would need more than the
+    available memory at that rate raises EngineError before anything is
     allocated. The neighbor picks, then the lazy coins, are drawn in slices
     of _CHUNK segments of this order, and the slices draw exactly the
     streams of one gen.integers(0, degrees) call over all segments and one
@@ -303,10 +296,10 @@ def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
     if total > np.iinfo(np.int32).max:
         raise EngineError(f"{total} segments exceed the int32 segment index")
     need = total * _STITCH_BYTES
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    memory = _available_memory()
     if need > memory:
         raise EngineError(f"{total} segments need {need} bytes, more than the "
-                          f"{memory} bytes of physical memory")
+                          f"{memory} bytes of available memory")
     first = np.concatenate(([0], np.cumsum(per_vertex)))   # vertex v's run starts here
     ends = np.empty(total, dtype=np.int32)
     degrees = g.degrees.astype(np.uint32)
@@ -336,6 +329,19 @@ def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
             end += start
             del move, start
     return ends
+
+
+def _available_memory() -> int:
+    """Bytes of memory a run may take: MemAvailable in _MEMINFO, or total
+    physical memory where that file or line is missing."""
+    try:
+        with open(_MEMINFO) as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024   # given in kB
+    except OSError:
+        pass
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _slice_runs(first: np.ndarray, a: int, b: int) -> Tuple[int, int, np.ndarray]:
@@ -768,22 +774,24 @@ def _check_served(key: np.ndarray, served_srv: np.ndarray, lo: np.ndarray,
                               f"{hi[k[i]]}) of key {k[i]}")
 
 
-def cycle_plan(target: int, growth: float) -> Tuple[int, int]:
-    """(calibration cycles, final exponent) for a rooted-walk target.
-
-    Calibration runs floor(log_growth target) cycles; the last budget update
-    uses exponent ceil(log_growth target) so at least `target` rooted walks
-    are budgeted in the final stitch.
+def cycle_plan(target: int, growth: float) -> List[float]:
+    """The scale of each calibration cycle's budget update, for a
+    rooted-walk target: growth, growth^2, ... by repeated multiplication
+    (reproducible arithmetic) while it is at most `target`, the last one
+    raised by one more factor of growth when it falls short of `target`, so
+    that at least `target` rooted walks are budgeted in the final stitch.
+    A target below growth calibrates nothing.
     """
     if target < 1:
         raise ParameterError("target must be >= 1")
-    calib = 0
+    scales: List[float] = []
     p = 1.0
     while p * growth <= target * (1 + 1e-12):
         p *= growth
-        calib += 1
-    final_expo = calib if p >= target * (1 - 1e-12) else calib + 1
-    return calib, final_expo
+        scales.append(p)
+    if scales and p < target * (1 - 1e-12):
+        scales[-1] = p * growth
+    return scales
 
 
 @dataclass
@@ -858,9 +866,9 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
     if roots_arr.size != len(roots):
         raise ParameterError("duplicate roots")
     seed = derive_key(master_seed, _ENGINE_NS, group_id)
-    calib, final_expo = cycle_plan(params.target, params.growth)
+    scales = cycle_plan(params.target, params.growth)
     weakest = float(params.base_budget * g.degrees[roots_arr].min())
-    if calib > 0 and weakest < params.threshold:
+    if scales and weakest < params.threshold:
         warnings.warn(
             f"root base budget {weakest:.3g} is below the significance threshold "
             f"{params.threshold:.3g}; calibration cannot grow the root budget",
@@ -871,12 +879,12 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
     stats: List[CycleStats] = []
     updates = (g.degrees > 0).astype(np.int64)   # one message per non-isolated vertex
 
-    for i in range(1, calib + 2):
+    for i in range(1, len(scales) + 2):
         budget_total = int(budgets.sum())
         attempted = int(budgets[roots_arr, 0].sum())
         res = stitch(g, budgets, params, cluster, seed, cycle=i)
         rows = np.flatnonzero(np.isin(res.starts, roots_arr))
-        if i > calib:
+        if i > len(scales):
             # rows are grouped by root; shuffle them so that any prefix of
             # the returned walks is an unbiased uniform subsample
             rows = rows[substream(seed, SHUFFLE_STREAM, i).permutation(rows.size)]
@@ -886,11 +894,10 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
         del res
         stats.append(CycleStats(cycle=i, budget_total=budget_total,
                                 rooted_attempted=attempted, rooted_ok=int(rows.size)))
-        if i <= calib:
+        if i <= len(scales):
             if rooted.shape[0] == 0:
                 raise EngineError(f"all rooted walks failed in calibration cycle {i}")
-            expo = final_expo if i == calib else i
-            budgets = update_budgets(rooted, expo, params, g, num_roots=roots_arr.size)
+            budgets = update_budgets(rooted, scales[i - 1] * roots_arr.size, params, g)
             cluster.exchange_bulk(updates, words=params.length + 1, kind=KIND_UPDATE)
 
     final = stats[-1]
@@ -906,9 +913,9 @@ def run_budgeted(g: Graph, root: int, params: StitchParams,
                  cluster: Cluster | None = None, seed: int = 0) -> RunResult:
     """Generate params.target independent length-`length` walks from `root`.
 
-    Runs floor(log_growth target) calibration cycles of stitch +
-    budget update, then one final stitch; returns the rooted walks of the
-    final cycle with round/memory metrics and the final cycle's budgets.
+    Runs a stitch and a budget update per scale of cycle_plan(target,
+    growth), then one final stitch; returns the rooted walks of the final
+    cycle with round/memory metrics and the final cycle's budgets.
     """
     cluster = cluster or Cluster()
     return _run_group(g, [root], params, cluster, seed, group_id=0)

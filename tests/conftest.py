@@ -11,7 +11,8 @@ def calibration(monkeypatch):
     """Spies on the calibration loop of engine runs.
 
     budgets: the (n, length) budget array of every stitch, in call order.
-    updates: (rooted walks, exponent, new budgets) of every budget update.
+    updates: (rooted walks, scale, new budgets) of every budget update, with
+    scale the number of rooted walks the next cycle budgets, over all roots.
     """
     seen = SimpleNamespace(budgets=[], updates=[])
     stitch, update_budgets = engine.stitch, engine.update_budgets
@@ -20,9 +21,9 @@ def calibration(monkeypatch):
         seen.budgets.append(budgets)
         return stitch(g, budgets, *args, **kwargs)
 
-    def spy_update(walks, exponent, *args, **kwargs):
-        table = update_budgets(walks, exponent, *args, **kwargs)
-        seen.updates.append((walks, exponent, table))
+    def spy_update(walks, scale, *args, **kwargs):
+        table = update_budgets(walks, scale, *args, **kwargs)
+        seen.updates.append((walks, scale, table))
         return table
 
     monkeypatch.setattr(engine, "stitch", spy_stitch)

@@ -104,6 +104,22 @@ class TestWalks:
         assert data["config"]["target"] == 1000
         assert 0.0 <= data["metrics"]["failure_rate_final"] <= 1.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("graph, target, flags, shortfall", [
+        # C8's root base of 20 * 2 = 40 is below the default theta of 100,
+        # so calibration cannot grow it: 40 of 1000 walks, and exit 0
+        ("c8_file", 1000, [], 960),
+        ("cliques_cache", 200, ["--theta", 20, "--b0", 10], 0)])
+    def test_report_gives_the_shortfall(self, graph, target, flags, shortfall,
+                                        request, tmp_path):
+        report = tmp_path / "r.json"
+        rc = run_cli("walks", "--graph", request.getfixturevalue(graph), "--root", 0,
+                     "--length", 4, "--target", target, *flags, "--seed", 1,
+                     "--report", report)
+        assert rc == 0
+        data = json.loads(report.read_text())
+        assert data["shortfall"] == shortfall == max(0, target - data["walks_ok"])
+
     def test_rerun_byte_identical(self, cliques_cache, tmp_path):
         args = ["walks", "--graph", cliques_cache, "--root", 0, "--length", 4,
                 "--target", 200, "--theta", 20, "--b0", 10, "--seed", 9,
@@ -241,15 +257,17 @@ class TestWalks:
         assert err.startswith("fail: ") and "segments exceed the int32 segment index" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_physical_memory_limit_exit_1(self, c4_file, monkeypatch, capsys):
-        # a host of 4096 bytes: the run is refused before allocating
+    def test_physical_memory_limit_exit_1(self, c4_file, tmp_path, monkeypatch, capsys):
+        # a host of 4096 bytes without a meminfo file: the run is refused
+        # before allocating
+        monkeypatch.setattr(engine, "_MEMINFO", str(tmp_path / "missing"))
         pages = {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(engine.os, "sysconf", pages.__getitem__)
         rc = run_cli("walks", "--graph", c4_file, "--root", 0, "--length", 4, "--seed", 1)
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("fail: ") and err.endswith(
-            "bytes, more than the 4096 bytes of physical memory\n")
+            "bytes, more than the 4096 bytes of available memory\n")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_out_of_memory_exit_1(self, path_graph_file, monkeypatch, capsys):

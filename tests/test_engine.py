@@ -1,14 +1,17 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkstitch import engine, oracle
 from walkstitch.engine import (ParameterError, StitchFailure,
                                StitchParams, cycle_plan, desk_params,
-                               dyadic_decompose, growth_power, init_walks,
+                               dyadic_decompose, init_walks,
                                initial_budgets, label_multipliers, round_length,
                                run_budgeted, run_multi_source, stitch,
                                theory_params, uniform_stitching, update_budgets,
@@ -104,12 +107,12 @@ class TestBudgets:
         run_budgeted(g, 0, p, seed=1)
         b0_root = p.base_budget * g.degree(0)
         assert calibration.updates
-        for _, exponent, table in calibration.updates:
-            lam_pow = growth_power(p.growth, exponent)
+        for _, scale, table in calibration.updates:
+            lam_pow = scale
             assert table[0, 0] == math.ceil(b0_root + lam_pow)
 
     def test_update_arithmetic_example(self):
-        # threshold 10, kappa 20, |W| 100, growth^i 1000, base 5: ceil(5+200)=205
+        # threshold 10, kappa 20, |W| 100, scale 1000, base 5: ceil(5+200)=205
         g = path_graph(6)  # degree(2) = 2; base 2.5 per degree gives base(2)=5
         p = StitchParams(length=2, target=10, growth=10.0, threshold=10.0,
                          base_budget=2.5, surplus=1.0, mode="practical")
@@ -118,7 +121,7 @@ class TestBudgets:
         walks[:20, 0] = 2   # kappa(2, k=1) = 20 >= theta
         walks[:, 1] = 3
         walks[:, 2] = 4
-        table = update_budgets(walks, 3, p, g)
+        table = update_budgets(walks, 1000.0, p, g)
         assert table[2, 0] == 205
 
     def test_update_else_branch(self):
@@ -129,7 +132,7 @@ class TestBudgets:
         walks = np.zeros((10, 3), dtype=np.int64)  # kappa(v,k) < theta everywhere
         walks[:, 1] = 1
         walks[:, 2] = 0
-        table = update_budgets(walks, 2, p, g)
+        table = update_budgets(walks, 100.0, p, g)
         mult = label_multipliers(p)
         for v in (2, 3, 4):
             for k in (1, 2):
@@ -139,24 +142,40 @@ class TestBudgets:
         g = cycle_graph(4)
         p = desk_params(length=4, target=10)
         with pytest.raises(Exception):
-            update_budgets(np.zeros((0, 5), dtype=np.int64), 1, p, g)
+            update_budgets(np.zeros((0, 5), dtype=np.int64), 10.0, p, g)
         with pytest.raises(Exception):
-            update_budgets(np.zeros((3, 3), dtype=np.int64), 1, p, g)
+            update_budgets(np.zeros((3, 3), dtype=np.int64), 10.0, p, g)
 
 
 class TestCyclePlan:
     def test_exact_power(self):
-        assert cycle_plan(1000, 10.0) == (3, 3)
+        assert cycle_plan(1000, 10.0) == [10.0, 100.0, 1000.0]
 
     def test_between_powers(self):
-        assert cycle_plan(50_000, 10.0) == (4, 5)
+        assert cycle_plan(50_000, 10.0) == [10.0, 100.0, 1000.0, 100_000.0]
 
     def test_single_walk(self):
-        assert cycle_plan(1, 10.0) == (0, 0)
+        assert cycle_plan(1, 10.0) == []
+        assert cycle_plan(5, 10.0) == []   # any target below growth
 
     def test_growth_fraction(self):
-        assert cycle_plan(8, 2.0) == (3, 3)
-        assert cycle_plan(9, 2.0) == (3, 4)
+        assert cycle_plan(8, 2.0) == [2.0, 4.0, 8.0]
+        assert cycle_plan(9, 2.0) == [2.0, 4.0, 16.0]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(target=st.integers(1, 10 ** 7), growth=st.floats(1.05, 20.0))
+    def test_schedule_law(self, target, growth):
+        scales = cycle_plan(target, growth)
+        assert bool(scales) == (growth <= target * (1 + 1e-12))
+        if not scales:
+            return
+        # growth, growth^2, ... by repeated multiplication, then the last
+        # one: the next power, or the one after it where that falls short
+        chain = [1.0] + scales[:-1]
+        assert chain[1:] == [p * growth for p in chain[:-1]]
+        assert scales[-1] in (chain[-1] * growth, chain[-1] * growth * growth)
+        assert all(p <= target * (1 + 1e-12) for p in scales[:-1])
+        assert scales[-1] >= target * (1 - 1e-12)
 
 
 # At degree 3*10^5 a word is rejected with probability (2^32 mod 300 000) /
@@ -259,10 +278,12 @@ class TestInitWalks:
             assert arr.dtype == ref.dtype
             assert np.array_equal(arr, ref)
 
-    def test_physical_memory_checked_before_allocating(self, monkeypatch):
-        # one page short of the whole stitch, at _STITCH_BYTES a segment, is
+    def test_physical_memory_checked_before_allocating(self, monkeypatch, tmp_path):
+        # without a meminfo file the guard falls back to total memory: one
+        # page short of the whole stitch, at _STITCH_BYTES a segment, is
         # refused, though level 0's 4 bytes a segment would fit; a page
         # more is not
+        monkeypatch.setattr(engine, "_MEMINFO", str(tmp_path / "missing"))
         need = 80_000 * engine._STITCH_BYTES
         short = need // 4096
         assert 80_000 * 4 < short * 4096 < need
@@ -273,10 +294,31 @@ class TestInitWalks:
         b = np.full((4, 2), 10_000, dtype=np.int64)
         with pytest.raises(engine.EngineError,
                            match=f"80000 segments need {need} bytes, more than the "
-                                 f"{short * 4096} bytes of physical memory"):
+                                 f"{short * 4096} bytes of available memory"):
             init_walks(g, b, p, master_seed=0)
         pages["SC_PHYS_PAGES"] = short + 1
         assert init_walks(g, b, p, master_seed=0).size == 80_000
+
+    def test_available_memory_checked_not_total(self, monkeypatch, tmp_path):
+        # total memory holds the stitch, but MemAvailable is 1 kB short of it
+        need = 80_000 * engine._STITCH_BYTES
+        pages = {"SC_PHYS_PAGES": need // 4096 + 1, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(engine.os, "sysconf", pages.__getitem__)
+        meminfo = tmp_path / "meminfo"
+        monkeypatch.setattr(engine, "_MEMINFO", str(meminfo))
+        g = cycle_graph(4)
+        p = desk_params(length=2, target=1, tau=1.0)
+        b = np.full((4, 2), 10_000, dtype=np.int64)
+        for kb in (need // 1024 - 1, need // 1024 + 1):
+            meminfo.write_text(f"MemTotal:       {2 * kb} kB\nMemFree:        10 kB\n"
+                               f"MemAvailable:   {kb} kB\nBuffers:        1 kB\n")
+            if kb * 1024 < need:
+                with pytest.raises(engine.EngineError,
+                                   match=f"80000 segments need {need} bytes, more than "
+                                         f"the {kb * 1024} bytes of available memory"):
+                    init_walks(g, b, p, master_seed=0)
+            else:
+                assert init_walks(g, b, p, master_seed=0).size == 80_000
 
 
     def test_rejections_fall_back_to_numpy(self, monkeypatch):
@@ -804,6 +846,18 @@ class TestLevelOrder:
 
 
 class TestRunBudgeted:
+    @pytest.mark.parametrize("target, warns", [(1000, True), (5, False)])
+    def test_weak_root_warns_only_when_calibrating(self, target, warns):
+        # base budget 20 * degree 2 = 40 < theta 100: calibration cannot grow
+        # the root budget, which matters only when there is a calibration
+        p = desk_params(length=4, target=target, growth=10.0, threshold=100.0,
+                        base_budget=20.0)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            run_budgeted(cycle_graph(8), 0, p, seed=1)
+        assert warns == any("below the significance threshold" in str(w.message)
+                            and w.category is RuntimeWarning for w in seen)
+
     def test_cycle_count_floor_log(self):
         g = cycle_graph(8)
         p = desk_params(length=4, target=1000, growth=10.0, threshold=10.0,
@@ -836,7 +890,7 @@ class TestRunBudgeted:
             p = desk_params(length=length, target=target, growth=10.0,
                             threshold=10.0, base_budget=30.0)
             run = run_budgeted(g, 0, p, seed=2)
-            calib, _ = cycle_plan(target, 10.0)
+            calib = len(cycle_plan(target, 10.0))
             phases = length.bit_length() - 1
             assert run.metrics.supersteps == (calib + 1) * 2 * phases + calib
             assert run.metrics.paper_rounds == (calib + 1) * phases + calib

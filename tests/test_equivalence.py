@@ -26,6 +26,11 @@ stopped shuffling its walks: they are the same walks, returned in tree order
 permutation, which is no longer drawn. Its failed prefixes did not change,
 and the rooted runs, which still shuffle, kept their values.
 
+test_multi_source_groups was pinned before the budget update took one
+rooted-walk scale (cycle_plan's schedule times the group's root count)
+instead of an exponent and a root count, to show that the move kept the
+arithmetic of a group of several roots: roots 3, 5 and 9 form one group.
+
 Only a change that alters the RNG streams on purpose may update the pinned
 values, and it must say so in CHANGES.md.
 """
@@ -35,7 +40,7 @@ import hashlib
 import numpy as np
 
 from walkstitch.engine import (StitchParams, desk_params, run_budgeted,
-                               uniform_stitching)
+                               run_multi_source, uniform_stitching)
 from walkstitch.fixtures import cycle_graph, gnp, two_cliques
 
 
@@ -94,3 +99,14 @@ def test_uniform_stitching_with_failures():
     assert res.result.failed_chunks
     assert digest(res.result.verts, res.result.failed_chunks) == (
         "98a4785a563b5deb5c41fc7c849c235c2e6b9927fe3d57fa37a8b3ede3949af4")
+
+
+def test_multi_source_groups():
+    p = desk_params(length=4, target=10, growth=4, threshold=3, base_budget=5, tau=1.5)
+    res = run_multi_source(two_cliques(6), {0: 4, 7: 40, 3: 300, 5: 300, 9: 290}, p, seed=1)
+    assert [r.roots for r in res.group_results] == [(0,), (7,), (3, 5, 9)]
+    # each walk starts at its root, so the roots' walks, in sorted root
+    # order, hash as one matrix
+    walks = np.concatenate([res.walks_by_root[r] for r in sorted(res.walks_by_root)])
+    assert digest(walks, []) == (
+        "6bf22e7d2d42286b72a4721fd553644d8a604a1b97162208a34f9b0bf73230df")
