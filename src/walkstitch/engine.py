@@ -277,14 +277,17 @@ def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
     of _CHUNK segments of this order, and the slices draw exactly the
     streams of one gen.integers(0, degrees) call over all segments and one
     gen.random() < 0.5 call for the coins. A slice's vertex runs come from
-    the cumulative per-vertex budget. It draws one 32-bit word per segment
-    whose start has degree above 1 and maps it to a neighbor in
-    _draw_below, falling back to numpy's own call on the rare slice where a
-    word is rejected, then gathers the neighbors from g.neighbors; a coin
-    is the top bit of one raw 64-bit word. Slice temporaries take at most
-    16 bytes a segment of the slice (a uint32 degree and word and a uint64
-    product, then an int64 pick and offset or neighbor), and each slice's
-    are freed before the next one draws.
+    the cumulative per-vertex budget. In _draw_below it takes one 32-bit
+    word per segment whose start has degree above 1, the half-word the
+    generator holds first and then both halves of raw 64-bit outputs, and
+    leaves the generator holding a half-word, or not, as numpy's 32-bit
+    draws do; it maps each word to a neighbor, falling back to numpy's own
+    call on the rare slice where a word is rejected, then gathers the
+    neighbors from g.neighbors. A coin is the top bit of one raw 64-bit
+    output. Slice temporaries take at most 16 bytes a segment of the slice
+    (a uint32 degree and word and a uint64 product, then an int64 pick and
+    offset or neighbor), and each slice's are freed before the next one
+    draws.
     """
     if budgets.shape != (g.n, params.length):
         raise EngineError("budget array shape does not match graph/params")
@@ -365,17 +368,33 @@ def _draw_below(gen: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
     numpy draws one 32-bit word per bound above 1 and nothing for a bound
     of 1, and maps word w to (w * bound) >> 32 (Lemire's multiply-shift),
     rejecting w and drawing again when the low 32 bits of w * bound fall
-    below 2^32 mod bound. Here one call draws all the words, and the map
-    runs vectorised. A rejection has probability below bound / 2^32 a word;
-    on the rare slice that has one, the state is rewound and numpy's own
-    call draws the slice.
+    below 2^32 mod bound. numpy's 32-bit draw returns the half-word the
+    generator holds (has_uint32, uinteger), if it holds one, and otherwise
+    the low half of a fresh 64-bit output, holding its high half. Here the
+    words are the held half, then the halves of one random_raw call, low
+    before high; the generator is left holding the last output's high half
+    after an odd number of halves, and with it as a stale uinteger after an
+    even number, as numpy leaves it. The map runs vectorised. A rejection
+    has probability below bound / 2^32 a word; on the rare slice that has
+    one, the state is rewound and numpy's own call draws the slice.
     """
     state = gen.bit_generator.state
     k = int(np.count_nonzero(bounds > 1))
-    words = gen.integers(0, 1 << 32, size=k, dtype=np.uint32)
+    held = min(state["has_uint32"], k)   # the held half-word is the first word
+    raw = gen.bit_generator.random_raw((k - held + 1) // 2)
+    if k:   # numpy keeps the last output's high half, held or not
+        gen.bit_generator.state = {
+            **gen.bit_generator.state, "has_uint32": (k - held) % 2,
+            "uinteger": int(raw[-1]) >> 32 if raw.size else state["uinteger"]}
+    # each output's low half, then its high half, on either byte order
+    words = raw.astype("<u8", copy=False).view("<u4")[:k - held]
+    if held:
+        words = np.concatenate(([np.uint32(state["uinteger"])], words))
+    del raw
     if k < bounds.size:   # a zero word maps to pick 0 under bound 1
         words, drawn = np.zeros(bounds.size, dtype=np.uint32), words
         words[bounds > 1] = drawn
+        del drawn
     product = np.multiply(words, bounds, dtype=np.uint64)
     del words   # at most 16 bytes a bound stay live: bound, word, product
     low = product.view(np.uint32)[_LOW_HALF::2]
@@ -559,15 +578,13 @@ def _scatter(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
 
 def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The positions first[i] .. first[i] + counts[i] - 1 for each i in turn,
-    as one int32 array: the step into each range is written where it
-    begins, every other step is 1, and one in-place sum adds them up."""
-    keep = counts > 0
-    first, counts = first[keep], counts[keep]
-    out = np.ones(int(counts.sum()), dtype=np.int32)
-    if out.size:
-        out[0] = first[0]
-        out[(np.cumsum(counts) - counts)[1:]] = first[1:] - first[:-1] - counts[:-1] + 1
-        np.cumsum(out, dtype=np.int32, out=out)
+    as one int32 array: each range's offset, its first position less where
+    it begins in the output, is repeated over the range, and the running
+    index is added in place a slice of _CHUNK at a time, so that besides
+    the 4 bytes a position only an int32 slice of the index is held."""
+    out = np.repeat((first - (np.cumsum(counts) - counts)).astype(np.int32), counts)
+    for a in range(0, out.size, _CHUNK):
+        out[a:a + _CHUNK] += np.arange(a, min(a + _CHUNK, out.size), dtype=np.int32)
     return out
 
 
@@ -663,10 +680,9 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
         offsets = bounds[:-1].reshape(counts.shape)
         req_first, req_counts = offsets[:, 0::2].ravel(), counts[:, 0::2].ravel()
         srv_blocks = counts[:, 1::2].reshape(n * per, w)
-        # the requester positions are built here for their ends, and again
-        # after serving, so they are not held while requests are grouped;
-        # the ends are where the served pairs join
-        key = _gather(ends, _ranges(req_first, req_counts))
+        # the requesters' ends, where the served pairs join, are the level's
+        # ends under a mask of its requester blocks, taken in one compress
+        key = ends[np.repeat(np.tile([True, False], n * half), counts.ravel())]
         key = key.astype(np.int32 if n * per <= 1 << 31 else np.int64, copy=False)
         if per > 1:   # the requesters of block column 2c ask for key column c
             key *= per
@@ -727,8 +743,8 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
         del key
 
         # the next level's ends replace this level's before the requester
-        # ids are built again, so the two levels' ends and both id arrays
-        # are not held at once
+        # ids are built, so the two levels' ends and both id arrays are not
+        # held at once
         ends = _gather(ends, served_srv)
         served_req = _ranges(req_first, req_counts)
         if lost is not None:

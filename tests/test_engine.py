@@ -361,6 +361,77 @@ class TestDrawBelow:
                               ref.integers(0, 1 << 32, size=3, dtype=np.uint32))
         assert got.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("words", [0, 1, 2, 3, 20_000])
+    @pytest.mark.parametrize("prior", [0, 1, 2, 3])
+    def test_state_right_after_the_call(self, prior, words):
+        # after an odd number of prior 32-bit draws the generator holds a
+        # half-word, which the first word takes; numpy keeps the last raw
+        # output's high half as uinteger even when it holds no half-word,
+        # so the states must agree before any further draw
+        mix = np.random.default_rng(words)
+        bounds = np.ones(2 * words + 3, dtype=np.uint32)
+        bounds[mix.choice(bounds.size, words, replace=False)] = mix.integers(2, 1000, words)
+        got, ref = substream(4, INIT_STREAM, 1), substream(4, INIT_STREAM, 1)
+        for gen in (got, ref):
+            gen.integers(0, 1 << 32, size=prior, dtype=np.uint32)
+        assert np.array_equal(engine._draw_below(got, bounds), ref.integers(0, bounds))
+        assert got.bit_generator.state == ref.bit_generator.state
+
+    def test_rejection_rewinds_a_held_half(self):
+        # entering with a held half-word, a rejected word rewinds to the
+        # saved state and numpy's own call draws the slice
+        bound = 1_431_655_766
+        bounds = np.full(30, bound, dtype=np.uint32)
+        got, ref, probe = (substream(4, INIT_STREAM, 1) for _ in range(3))
+        for gen in (got, ref, probe):
+            gen.integers(0, 1 << 32, size=1, dtype=np.uint32)
+        assert got.bit_generator.state["has_uint32"] == 1
+        words = probe.integers(0, 1 << 32, size=bounds.size, dtype=np.uint32)
+        low = (words.astype(np.uint64) * np.uint64(bound)) & np.uint64(0xFFFFFFFF)
+        assert np.any(low < (1 << 32) % bound)   # a word is rejected
+        assert np.array_equal(engine._draw_below(got, bounds), ref.integers(0, bounds))
+        assert got.bit_generator.state == ref.bit_generator.state
+
+
+class TestRanges:
+    """_ranges lists each range's positions in turn, as int32."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, (1 << 31) - 51), st.integers(0, 50)),
+                    max_size=30))
+    def test_matches_concatenated_aranges(self, spans):
+        first = np.array([f for f, _ in spans], dtype=np.int64)
+        counts = np.array([c for _, c in spans], dtype=np.int64)
+        ref = np.concatenate([np.arange(f, f + c) for f, c in spans] + [np.arange(0)])
+        got = engine._ranges(first, counts)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, ref.astype(np.int32))
+
+    def test_last_position_is_int32_max(self):
+        top = (1 << 31) - 1
+        got = engine._ranges(np.array([0, top - 4]), np.array([3, 5]))
+        assert got.tolist() == [0, 1, 2] + list(range(top - 4, top + 1))
+
+    def test_holds_four_bytes_a_position(self):
+        # about 4M positions in ranges of mixed length, across many index
+        # slices: the output and one int32 slice of the running index, not
+        # a full-length int64 index (8 bytes a position)
+        rng = np.random.default_rng(7)
+        counts = rng.integers(0, 2000, size=4000)
+        first = rng.integers(0, 1 << 30, size=counts.size)
+        total = int(counts.sum())
+        assert total > 3_900_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = engine._ranges(first, counts)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * total + 4 * engine._CHUNK + (1 << 16)
+        start = np.repeat(np.cumsum(counts) - counts, counts)
+        assert np.array_equal(got, np.repeat(first, counts) + np.arange(total) - start)
+
 
 def one_call_init_walks(g, budgets, params, master_seed, cycle):
     """Level 0 drawn by one call over all segments: the picks, then the lazy
