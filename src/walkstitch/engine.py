@@ -504,16 +504,20 @@ class StitchResult:
         return self._prefixes()
 
 
-def _group_by_key(key: np.ndarray, n_keys: int) -> np.ndarray:
-    """Positions of key, stably grouped by key: positions with equal keys
-    keep their order. Keys lie in [0, n_keys).
+def _group_by_key(key: np.ndarray, n_keys: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(order, counts): the positions of key, stably grouped by key
+    (positions with equal keys keep their order), and the int64 number of
+    positions of each key. Keys lie in [0, n_keys).
 
     Each position is packed below its key into one unsigned word, key <<
     bits | position, and one in-place sort of the words (numpy's SIMD sort
-    of 32- or 64-bit integers) orders them by key, then by position; the
-    key bits are then masked off. The words are uint32 when key and
-    position fit in 32 bits, and the result is then an int32 view of them;
-    otherwise uint64 and int64. Past 64 bits EngineError is raised.
+    of 32- or 64-bit integers) orders them by key, then by position. Key k's
+    words start at the first word not below k << bits, so binary searches
+    for k = 1 .. n_keys - 1 give the counts; k = n_keys is not searched, as
+    n_keys << bits may not fit in a word. The key bits are then masked off.
+    The words are uint32 when key and position fit in 32 bits, and the order
+    is then an int32 view of them; otherwise uint64 and int64. Past 64 bits
+    EngineError is raised, before anything is allocated.
     """
     bits = max(key.size - 1, 0).bit_length()
     width = (n_keys - 1).bit_length() + bits
@@ -526,8 +530,11 @@ def _group_by_key(key: np.ndarray, n_keys: int) -> np.ndarray:
     for a in range(0, key.size, _CHUNK):   # no position array beside the words
         packed[a:a + _CHUNK] |= np.arange(a, min(a + _CHUNK, key.size), dtype=word)
     packed.sort()
+    first = np.arange(1, n_keys, dtype=word)
+    first <<= word(bits)
+    counts = np.diff(np.searchsorted(packed, first), prepend=0, append=key.size)
     packed &= word((1 << bits) - 1)
-    return packed.view(view)
+    return packed.view(view), counts
 
 
 def _draw_failures(short: np.ndarray, rcount: np.ndarray, scount: np.ndarray,
@@ -589,16 +596,37 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _scatter_ranges(out: np.ndarray, idx: np.ndarray, first: np.ndarray,
-                    counts: np.ndarray) -> None:
+                    counts: np.ndarray, runs: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> None:
     """out[idx] = _ranges(first, counts), built and scattered a slice of
-    _CHUNK positions at a time, so that the ranges are never held whole."""
+    _CHUNK positions at a time, so that the ranges are never held whole.
+
+    The ranges fall into runs: run k is the next runs[k] positions. Before
+    a slice is scattered, each non-empty run it holds must lie in [lo[k],
+    hi[k]), by its minimum and maximum; otherwise EngineError is raised."""
     bounds = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
+    run_bounds = np.zeros(runs.size + 1, dtype=np.int64)
+    np.cumsum(runs, out=run_bounds[1:])
     for a in range(0, idx.size, _CHUNK):
         b = min(a + _CHUNK, idx.size)
-        lo, hi, part = _slice_runs(bounds, a, b)
-        skip = np.maximum(bounds[lo:hi], a) - bounds[lo:hi]   # cut from a range's head
-        _scatter(out, idx[a:b], _ranges(first[lo:hi] + skip, part))
+        i, j, part = _slice_runs(bounds, a, b)
+        skip = np.maximum(bounds[i:j], a) - bounds[i:j]   # cut from a range's head
+        values = _ranges(first[i:j] + skip, part)
+        i, _, part = _slice_runs(run_bounds, a, b)
+        keys = np.flatnonzero(part)
+        heads = (np.cumsum(part) - part)[keys]   # where each non-empty run starts
+        least = np.minimum.reduceat(values, heads)
+        most = np.maximum.reduceat(values, heads)
+        keys += i
+        bad = (least < lo[keys]) | (most >= hi[keys])
+        if bad.any():
+            r = int(np.argmax(bad))
+            k = keys[r]
+            srv = least[r] if least[r] < lo[k] else most[r]
+            raise EngineError(f"server {srv} lies outside the stock [{lo[k]}, "
+                              f"{hi[k]}) of key {k}")
+        _scatter(out, idx[a:b], values)
 
 
 def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster,
@@ -607,36 +635,40 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
     segments, then log2(length) phases.
 
     A level is carried as its segments' int32 end vertices and an (n, c)
-    array of block counts: the level's segments lie in (start vertex,
-    first label) order, and block (v, i) holds the counts[v, i] segments
-    that start at v with label i * length / c + 1. Level 0's counts are the
-    budgets, as init_walks emits it that way. In phase j, with s =
-    2^(j-1), the blocks of even columns (label 1 mod 2s) request and those
-    of odd columns (label s+1 mod 2s) serve, so both sides' positions are
-    ranges of block offsets. Every requester asks the vertex at its end for
-    a segment from the stock of its key, a vertex and a run of its server
-    columns: per keys a vertex, each owning half / per columns, with per =
-    1 in practical mode (one pooled key) and per = half in theory mode (a
-    key per needed label, so requester column 2i asks for column i). A
-    key's stock is its server blocks, in position order, which depends
-    only on the starts, labels and order of the level's segments, never on
-    where they lead; the request of rank r in a key takes the key's stock
-    segment of rank r, a distinct segment drawn as a fresh walk from the
-    key, so a key serves the first min(requests, stock) segments of its
-    stock, block by block, and the served positions follow from the
-    counts (_check_served checks them). Each served pair becomes one
+    array of block counts: the level's segments lie in (start vertex, first
+    label) order, and block (v, i) holds the counts[v, i] segments that
+    start at v with label i * length / c + 1. Level 0's counts are the
+    budgets, as init_walks emits it that way. In phase j, with s = 2^(j-1),
+    the blocks of even columns (label 1 mod 2s) request and those of odd
+    columns (label s+1 mod 2s) serve, so both sides' positions are ranges of
+    block offsets. Every requester asks the vertex at its end for a segment
+    from the stock of its key, a vertex and a run of its server columns: per
+    keys a vertex, each owning half / per columns, with per = 1 in practical
+    mode (one pooled key) and per = half in theory mode (a key per needed
+    label, so requester column 2i asks for column i). A key's stock is its
+    server blocks, in position order, which depends only on the starts,
+    labels and order of the level's segments, never on where they lead; the
+    request of rank r in a key takes the key's stock segment of rank r, a
+    distinct segment drawn as a fresh walk from the key, so a key serves the
+    first min(requests, stock) segments of its stock, block by block. One
+    packed sort of the requests gives both their order grouped by key and
+    each key's request count (_group_by_key). The served positions follow
+    from the counts; they are built a slice at a time in key order, and each
+    key's run of them is checked against the key's stock before the slice is
+    scattered to its requesters (_scatter_ranges), so a misplaced server
+    raises EngineError, also under python -O. Each served pair becomes one
     segment of the next level, written in requester order: a new segment
     takes its requester's start and label, the next level keeps the order,
     and its counts are the requester blocks' counts. The tree records its
-    join vertex, the requester's end (its key over per), and from level 2
-    on its pair of child indices (_add_level). When a key's stock is
-    short, fail_policy decides between aborting the run on the smallest
-    short key (StitchFailure names its label in theory mode, None for a
-    pooled stock) and serving a uniform subset of its requests: only then
-    does the phase draw its substream, to pick which requests of each
-    short key fail (_draw_failures). A failed request leaves its block's
-    count, and the rest are served by rank as in a key with stock to
-    spare. The unserved walks are logged if they carry label 1.
+    join vertex, the requester's end (its key over per), and from level 2 on
+    its pair of child indices (_add_level). When a key's stock is short,
+    fail_policy decides between aborting the run on the smallest short key
+    (StitchFailure names its label in theory mode, None for a pooled stock)
+    and serving a uniform subset of its requests: only then does the phase
+    draw its substream, to pick which requests of each short key fail
+    (_draw_failures). A failed request leaves its block's count, and the
+    rest are served by rank as in a key with stock to spare. The unserved
+    walks are logged if they carry label 1.
 
     Every index is int32, as a level holds fewer than 2^31 segments, and is
     cast to intp a slice at a time where it gathers or scatters; only the
@@ -687,7 +719,8 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
         if per > 1:   # the requesters of block column 2c ask for key column c
             key *= per
             key += np.repeat(np.tile(np.arange(per, dtype=key.dtype), n), req_counts)
-        rcount = np.bincount(key, minlength=n * per)
+        # requests are grouped by key in requester order, and counted
+        order, rcount = _group_by_key(key, n * per)
         scount = srv_blocks.sum(axis=1)
         cluster.exchange_bulk(rcount.reshape(n, per).sum(axis=1), words=3, kind=KIND_REQUEST)
         short = np.flatnonzero(rcount > scount)
@@ -696,9 +729,8 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
             raise StitchFailure(k // per, (k % per * 2 + 1) * s + 1 if theory else None,
                                 phase, int(rcount[k] - scount[k]), cycle)
 
-        # requests are grouped by key in requester order; a short key drops
-        # a uniform subset of its requests, and the rest are served
-        order = _group_by_key(key, n * per)
+        # a short key drops a uniform subset of its requests, and the rest
+        # are served
         lost = None   # ranks of the requests left unserved, in requester order
         served = req_counts   # requests per requester block that are served
         if short.size:
@@ -724,19 +756,20 @@ def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster
         # block, to its requests in rank order
         take = np.clip(rcount[:, None] - (np.cumsum(srv_blocks, axis=1) - srv_blocks),
                        0, srv_blocks)
+        # each server lies in its key's stock, from the start of the key's
+        # first server block to the end of its last, so the pair's vertices
+        # join; in practical mode a server from a requester block between
+        # two server blocks of the vertex still passes
         served_srv = np.empty(int(req_counts.sum()), dtype=np.int32)
-        _scatter_ranges(served_srv, order, offsets[:, 1::2].ravel(), take.ravel())
-        del order
+        try:
+            _scatter_ranges(served_srv, order, offsets[:, 1::2].ravel(), take.ravel(),
+                            rcount, bounds[1::2 * w], bounds[2 * w::2 * w])
+        except EngineError as err:
+            raise EngineError(f"phase {phase}, cycle {cycle}: {err}") from None
+        del order, bounds, offsets
         if lost is not None:   # one at a time: each old array goes before the next copy
             served_srv = np.delete(served_srv, lost)
             key = np.delete(key, lost)
-
-        # each server lies in its key's stock, so the pair's vertices join
-        try:
-            _check_served(key, served_srv, bounds[1::2 * w], bounds[2 * w::2 * w])
-        except EngineError as err:
-            raise EngineError(f"phase {phase}, cycle {cycle}: {err}") from None
-        del bounds, offsets
         if per > 1:
             key //= per   # back to the requesters' ends, in place
         join = key.astype(np.int32, copy=False)
@@ -771,23 +804,6 @@ def _add_level(joins: List[np.ndarray], children: List[Tuple[np.ndarray, np.ndar
     if joins:
         children.append((served_req, served_srv))
     joins.append(join)
-
-
-def _check_served(key: np.ndarray, served_srv: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray) -> None:
-    """Raise EngineError unless each served server lies in [lo[k], hi[k])
-    for its request's key k: from the start of the key's first server block
-    to the end of its last. In practical mode a key's server blocks are
-    not contiguous, so a server from a requester block that lies between
-    two server blocks of the same vertex still passes."""
-    for a in range(0, key.size, _CHUNK):
-        k = key[a:a + _CHUNK].astype(np.intp)
-        srv = served_srv[a:a + _CHUNK]
-        bad = (srv < lo[k]) | (srv >= hi[k])
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise EngineError(f"server {srv[i]} lies outside the stock [{lo[k[i]]}, "
-                              f"{hi[k[i]]}) of key {k[i]}")
 
 
 def cycle_plan(target: int, growth: float) -> List[float]:

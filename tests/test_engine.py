@@ -505,24 +505,84 @@ class TestStitch:
     def test_misplaced_server_raises(self, monkeypatch, mode):
         # phase 1 at L 4 (half = 2) serves the first request in key order
         # from the label-1 requester block of its key's vertex instead: the
-        # block just before that vertex's first server block
-        scatter_ranges = engine._scatter_ranges
+        # block just before that vertex's first server block. A key serves
+        # its stock from the start, so the first stock position built is
+        # where that server block starts (vertex v's blocks of 5 start at
+        # 20 v), and one less lies in the requester block
+        ranges = engine._ranges
         calls = []
 
-        def misplace(out, idx, first, counts):
-            scatter_ranges(out, idx, first, counts)
+        def misplace(first, counts):
+            out = ranges(first, counts)
             if not calls:
-                block = np.searchsorted(first, out[idx[0]], side="right") - 1
-                out[idx[0]] = first[block - block % 2] - 1
-            calls.append(idx.size)
+                assert out[0] % 20 == 5
+                out[0] -= 1
+            calls.append(out.size)
+            return out
 
-        monkeypatch.setattr(engine, "_scatter_ranges", misplace)
+        monkeypatch.setattr(engine, "_ranges", misplace)
         g = cycle_graph(4)
         p = desk_params(length=4, target=1, mode=mode)
         vals = np.full((4, 4), 5, dtype=np.int64)
         with pytest.raises(engine.EngineError, match="phase 1, cycle 1: server .* outside"):
             stitch(g, vals, p, Cluster(), master_seed=5)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("where", ["cut-run", "last-key"])
+    @pytest.mark.parametrize("mode", ["practical", "theory"])
+    def test_misplaced_server_raises_in_any_slice(self, monkeypatch, mode, where, side,
+                                                  chunk):
+        # phase 1 at L 4 serves one request from just outside its key's
+        # stock [lo, hi), at lo - 1 or at hi: at the first position after a
+        # slice boundary that cuts a key's run, or at the last position of
+        # the last key that serves. Vertex v's blocks of 50 start at 200 v;
+        # a practical key is a vertex, with stock from label 2 to label 4,
+        # and theory key 2 v + c holds label 2 c + 2
+        scatter_ranges, ranges = engine._scatter_ranges, engine._ranges
+        spot = {}
+
+        def choose(out, idx, first, counts, runs, lo, hi):
+            if not spot:   # phase 1
+                ends = np.cumsum(runs)
+                if where == "last-key":
+                    k = int(np.flatnonzero(runs)[-1])
+                    t = int(ends[k]) - 1
+                else:
+                    cuts = np.arange(chunk, idx.size, chunk)
+                    keys = np.searchsorted(ends, cuts, side="right")
+                    inside = np.flatnonzero(cuts > (ends - runs)[keys])
+                    assert inside.size   # a boundary cuts a run
+                    k, t = int(keys[inside[0]]), int(cuts[inside[0]])
+                if mode == "practical":
+                    assert (lo[k], hi[k]) == (200 * k + 50, 200 * k + 200)
+                else:
+                    assert (lo[k], hi[k]) == (200 * (k // 2) + 50 + 100 * (k % 2),
+                                              200 * (k // 2) + 100 + 100 * (k % 2))
+                spot.update(t=t, seen=0, key=k, lo=lo[k], hi=hi[k],
+                            value=lo[k] - 1 if side == "below" else hi[k])
+            scatter_ranges(out, idx, first, counts, runs, lo, hi)
+
+        def misplace(first, counts):
+            out = ranges(first, counts)
+            t = spot["t"] - spot["seen"]
+            if 0 <= t < out.size:
+                out[t] = spot["value"]
+            spot["seen"] += out.size
+            return out
+
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        monkeypatch.setattr(engine, "_scatter_ranges", choose)
+        monkeypatch.setattr(engine, "_ranges", misplace)
+        g = cycle_graph(4)
+        p = desk_params(length=4, target=1, mode=mode)
+        vals = np.full((4, 4), 50, dtype=np.int64)
+        with pytest.raises(engine.EngineError) as exc:
+            stitch(g, vals, p, Cluster(), master_seed=5)
+        assert str(exc.value) == (
+            f"phase 1, cycle 1: server {spot['value']} lies outside the stock "
+            f"[{spot['lo']}, {spot['hi']}) of key {spot['key']}")
 
     def test_int32_segment_limit_checked_before_allocating(self):
         g = cycle_graph(4)
@@ -596,7 +656,8 @@ class TestStitch:
         budgets = initial_budgets(g, p)
         packed = stitch(g, budgets, p, Cluster(), master_seed=3)
         monkeypatch.setattr(engine, "_group_by_key",
-                            lambda key, n_keys: np.argsort(key, kind="stable"))
+                            lambda key, n_keys: (np.argsort(key, kind="stable"),
+                                                 np.bincount(key, minlength=n_keys)))
         wide = stitch(g, budgets, p, Cluster(), master_seed=3)
         assert packed.failed and len(packed.failed) == len(wide.failed)
         assert len(packed.joins) == len(wide.joins) == 3 and len(phase_pairs) == 6
@@ -606,6 +667,28 @@ class TestStitch:
         for a, b in zip(packed.children + phase_pairs[:3], wide.children + phase_pairs[3:]):
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         for a, b in zip(packed.failed, wide.failed):
+            assert a[0] == b[0] and all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("mode", ["practical", "theory"])
+    def test_serving_slices_match_one_slice(self, monkeypatch, mode, chunk):
+        # keys run short at tau 1.01, so failures are drawn and dropped too;
+        # phase 1 alone has over a thousand requests
+        g = cycle_graph(8)
+        p = desk_params(length=8, target=1, base_budget=20.0, tau=1.01, mode=mode)
+        budgets = initial_budgets(g, p)
+        assert int(budgets[:, 0::2].sum()) > 1000
+        one = stitch(g, budgets, p, Cluster(), master_seed=3)
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        sliced = stitch(g, budgets, p, Cluster(), master_seed=3)
+        assert one.failed and len(one.failed) == len(sliced.failed)
+        assert len(one.joins) == len(sliced.joins) == 3
+        for a, b in zip(one.joins + [one.starts, one.ends],
+                        sliced.joins + [sliced.starts, sliced.ends]):
+            assert np.array_equal(a, b)
+        for a, b in zip(one.children, sliced.children):
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        for a, b in zip(one.failed, sliced.failed):
             assert a[0] == b[0] and all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
 
     @pytest.mark.parametrize("chunk", [1, 8, 64])
@@ -743,14 +826,22 @@ class TestWorkingSet:
 
 
 class TestGroupByKey:
-    """The packed sort gives exactly a stable argsort on the key."""
+    """The packed sort gives exactly a stable argsort on the key, and each
+    key's count of positions."""
 
-    @pytest.mark.parametrize("n_keys", [5, 1 << 16, (1 << 16) + 1, 1 << 20, 1 << 40])
+    @staticmethod
+    def grouped(key, n_keys):
+        order, counts = engine._group_by_key(key, n_keys)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.bincount(key, minlength=n_keys))
+        return order
+
+    @pytest.mark.parametrize("n_keys", [5, 1 << 16, (1 << 16) + 1, 1 << 20])
     def test_matches_stable_argsort(self, n_keys):
         rng = np.random.default_rng(n_keys)
         key = rng.integers(0, n_keys, size=5000)
         key[0] = n_keys - 1  # the largest key needs every digit
-        got = engine._group_by_key(key, n_keys)
+        got = self.grouped(key, n_keys)
         assert np.array_equal(got, np.argsort(key, kind="stable"))
 
     @pytest.mark.parametrize("key, n_keys", [
@@ -758,7 +849,7 @@ class TestGroupByKey:
         ids=["empty-one-key", "empty", "single-one-key", "single", "one-key"])
     def test_small_cases(self, key, n_keys):
         key = np.array(key, dtype=np.int32)
-        got = engine._group_by_key(key, n_keys)
+        got = self.grouped(key, n_keys)
         assert got.dtype == np.int32
         assert np.array_equal(got, np.arange(key.size))
 
@@ -769,16 +860,52 @@ class TestGroupByKey:
         rng = np.random.default_rng(n_keys)
         key = rng.integers(0, 64, size=5000)
         key[:2] = [n_keys - 1, n_keys - 1]
-        got = engine._group_by_key(key, n_keys)
+        got = self.grouped(key, n_keys)
         assert got.dtype == dtype
         assert np.array_equal(got, np.argsort(key, kind="stable"))
 
+    def test_full_32_bit_words(self):
+        # 8192 positions take 13 bits and 2^19 keys 19, so the last key's
+        # last word is 2^32 - 1 and n_keys << 13 would wrap to 0 in uint32
+        n_keys = 1 << 19
+        rng = np.random.default_rng(19)
+        key = rng.choice([0, 1, n_keys - 2, n_keys - 1], size=8192)
+        key[-1] = n_keys - 1
+        got = self.grouped(key.astype(np.int32), n_keys)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, np.argsort(key, kind="stable"))
+
+    def test_empty_keys_at_both_ends(self):
+        rng = np.random.default_rng(10)
+        key = rng.integers(2, 7, size=300, dtype=np.int32)   # keys 0, 1 and 7..9 empty
+        got = self.grouped(key, 10)
+        assert np.array_equal(got, np.argsort(key, kind="stable"))
+
+    def test_64_bit_words(self):
+        # 5000 positions take 13 bits and 2^21 keys 21: the key bits reach
+        # past bit 32, so a uint32 word could hold neither the words nor
+        # the searched key starts (n_keys - 1) << 13
+        n_keys = 1 << 21
+        rng = np.random.default_rng(21)
+        key = rng.integers(n_keys - 64, n_keys, size=5000)
+        key[:100] = rng.integers(0, 64, size=100)
+        got = self.grouped(key, n_keys)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.argsort(key, kind="stable"))
+
     def test_wider_than_64_bits_raises(self):
-        # 3 positions take 2 bits and keys below 2^63 take 63
+        # 3 positions take 2 bits and keys below 2^63 take 63: the words
+        # would need 65 bits, which is checked before the 2^63 counts or
+        # anything else is allocated
         key = np.array([5, 0, 5])
-        assert np.array_equal(engine._group_by_key(key, 1 << 62), [1, 0, 2])
-        with pytest.raises(engine.EngineError, match="65 bits"):
-            engine._group_by_key(key, 1 << 63)
+        tracemalloc.start()
+        try:
+            with pytest.raises(engine.EngineError, match="65 bits"):
+                engine._group_by_key(key, 1 << 63)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestDrawFailures:
