@@ -338,6 +338,8 @@ def cmd_walks(args) -> int:
 
 def cmd_ppr(args) -> int:
     g = load_graph(args.graph)
+    if args.verify and g.n > oracle.ORACLE_MAX_N:
+        raise UsageError(f"--verify needs n <= {oracle.ORACLE_MAX_N}")
     if not 0 <= args.root < g.n:
         raise UsageError(f"--root {args.root} out of range [0, {g.n})")
     t0 = time.perf_counter()
@@ -384,8 +386,6 @@ def cmd_ppr(args) -> int:
         "mass": q.mass(), "support_size": len(q),
     })
     if args.verify:
-        if g.n > oracle.ORACLE_MAX_N:
-            raise UsageError(f"--verify needs n <= {oracle.ORACLE_MAX_N}")
         exact = oracle.exact_ppr(g, args.root, args.alpha)
         err = float(np.abs(q.to_dense(g.n) - exact).max())
         payload["max_abs_error_vs_exact"] = err
@@ -425,22 +425,20 @@ def cmd_compare_baseline(args) -> int:
                                  tau=args.baseline_tau, laziness=args.laziness)
     wall = time.perf_counter() - t0
     ratio = baseline.total_budget / local.metrics.total_budget
+    # each algorithm's numbers, in CSV column order
+    rows = {"budgeted": {"total_budget": local.metrics.total_budget,
+                         "supersteps": local.metrics.supersteps,
+                         "rooted_ok": local.metrics.rooted_ok},
+            "uniform": {"total_budget": baseline.total_budget,
+                        "supersteps": baseline.metrics.supersteps,
+                        "rooted_ok": int(baseline.ok_per_vertex[args.root])}}
     if args.csv:
-        _write_csv(args.csv, "algorithm,total_budget,supersteps,rooted_ok",
-                   [("budgeted", local.metrics.total_budget,
-                     local.metrics.supersteps, local.metrics.rooted_ok),
-                    ("uniform", baseline.total_budget,
-                     baseline.metrics.supersteps,
-                     int(baseline.ok_per_vertex[args.root]))])
+        _write_csv(args.csv, ",".join(["algorithm", *rows["budgeted"]]),
+                   ((name, *row.values()) for name, row in rows.items()))
     payload = {
         "walk_target": args.target,
-        "local": {"total_budget": local.metrics.total_budget,
-                  "supersteps": local.metrics.supersteps,
-                  "rooted_ok": local.metrics.rooted_ok},
-        "baseline": {"total_budget": baseline.total_budget,
-                     "supersteps": baseline.metrics.supersteps,
-                     "b0_per_degree": b0_uniform,
-                     "rooted_ok": int(baseline.ok_per_vertex[args.root])},
+        "local": rows["budgeted"],
+        "baseline": {**rows["uniform"], "b0_per_degree": b0_uniform},
         "budget_ratio": ratio,
         "params": asdict(params),
     }

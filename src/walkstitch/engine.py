@@ -124,7 +124,7 @@ class StitchParams:
         if self.length < 1 or self.length & (self.length - 1):
             raise ParameterError(f"length {self.length} is not a power of two")
         if self.length > 1 << 14:
-            raise ParameterError(f"length {self.length} exceeds 2^14, as labels are int16")
+            raise ParameterError(f"length {self.length} exceeds 2^14")
         if self.target < 1:
             raise ParameterError("target must be >= 1")
         # chained comparisons also reject NaN and infinities
@@ -487,21 +487,12 @@ class StitchResult:
         """All finished walks, (K, length+1), in tree order."""
         return self._segments(None, len(self.joins), self.starts, self.ends)
 
-    def _prefixes(self, roots: np.ndarray | None = None) -> List[Tuple[int, np.ndarray]]:
-        """(phase, failed label-1 prefixes of length 2**(phase-1)), only
-        those from `roots` when given; a phase left without any is dropped."""
-        chunks = []
-        for phase, ids, starts, ends in self.failed:
-            keep = slice(None) if roots is None else np.isin(starts, roots)
-            if ids[keep].size:
-                chunks.append((phase, self._segments(ids[keep], phase - 1, starts[keep],
-                                                     ends[keep])))
-        return chunks
-
     @cached_property
     def failed_chunks(self) -> List[Tuple[int, np.ndarray]]:
-        """(phase, failed label-1 prefixes of length 2**(phase-1))."""
-        return self._prefixes()
+        """(phase, failed label-1 prefixes of length 2**(phase-1)), one entry
+        for each phase in which some label-1 request went unserved."""
+        return [(phase, self._segments(ids, phase - 1, starts, ends))
+                for phase, ids, starts, ends in self.failed]
 
 
 def _group_by_key(key: np.ndarray, n_keys: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -577,12 +568,6 @@ def _gather(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scatter(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """out[idx] = values, with idx cast to intp a slice of _CHUNK at a time."""
-    for a in range(0, idx.size, _CHUNK):
-        out[idx[a:a + _CHUNK].astype(np.intp, copy=False)] = values[a:a + _CHUNK]
-
-
 def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The positions first[i] .. first[i] + counts[i] - 1 for each i in turn,
     as one int32 array: each range's offset, its first position less where
@@ -626,7 +611,7 @@ def _scatter_ranges(out: np.ndarray, idx: np.ndarray, first: np.ndarray,
             srv = least[r] if least[r] < lo[k] else most[r]
             raise EngineError(f"server {srv} lies outside the stock [{lo[k]}, "
                               f"{hi[k]}) of key {k}")
-        _scatter(out, idx[a:b], values)
+        out[idx[a:b].astype(np.intp, copy=False)] = values
 
 
 def stitch(g: Graph, budgets: np.ndarray, params: StitchParams, cluster: Cluster,
@@ -920,7 +905,10 @@ def _run_group(g: Graph, roots: Sequence[int], params: StitchParams,
             # rows are grouped by root; shuffle them so that any prefix of
             # the returned walks is an unbiased uniform subsample
             rows = rows[substream(seed, SHUFFLE_STREAM, i).permutation(rows.size)]
-            failed_walks = res._prefixes(roots_arr)
+            # the roots' failed prefixes, by their first vertex
+            failed_walks = [(phase, chunk[np.isin(chunk[:, 0], roots_arr)])
+                            for phase, chunk in res.failed_chunks]
+            failed_walks = [(phase, chunk) for phase, chunk in failed_walks if chunk.size]
         rooted = res.walks(rows)
         # the whole tree goes before the next cycle's stitch allocates its own
         del res

@@ -127,19 +127,12 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
     return starts
 
 
-def sort_unique(values: np.ndarray, return_inverse: bool = False):
-    """np.unique(values) for a 1-D array, and with return_inverse its intp
-    inverse too, by one sort and a neighbour diff: numpy 2.4's np.unique
-    takes a hash path that is 10-60 times slower on 10^4-10^7 values."""
-    if not return_inverse:
-        ordered = np.sort(values)
-        return ordered[_run_starts(ordered)]
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = _run_starts(ordered)
-    inverse = np.empty(values.size, dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return ordered[starts], inverse
+def sort_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) for a 1-D array, by one sort and a neighbour diff:
+    numpy 2.4's np.unique takes a hash path that is 10-60 times slower on
+    10^4-10^7 values."""
+    ordered = np.sort(values)
+    return ordered[_run_starts(ordered)]
 
 
 def from_edge_array(n: int, edges: np.ndarray, id_map: Tuple[int, ...] | None = None) -> Graph:

@@ -114,8 +114,9 @@ class Cluster:
         exchange sorts nothing."""
         if self._slot.size < size:
             every = np.arange(max(size, 2 * self._slot.size))
-            self._machines, self._slot = sort_unique(self.assign_machines(every),
-                                                     return_inverse=True)
+            machines = self.assign_machines(every)
+            self._machines = sort_unique(machines)
+            self._slot = np.searchsorted(self._machines, machines)
         return self._slot[:size]
 
     def exchange_bulk(self, counts: np.ndarray, words: int, kind: str = KIND_OTHER) -> None:
@@ -133,8 +134,6 @@ class Cluster:
         total_words = int(words) * n_msgs
         if n_msgs == 0:
             max_per_machine = 0
-        elif self.cfg.num_machines == 1:
-            max_per_machine = total_words
         else:
             # sum the counts per machine slot, so loads are held for the
             # machines of mapped vertices only, not every machine
@@ -148,7 +147,7 @@ class Cluster:
             max_words_per_machine=max_per_machine))
 
         if max_per_machine > self.cfg.machine_capacity:
-            offender = 0 if self.cfg.num_machines == 1 else int(self._machines[np.argmax(loads)])
+            offender = int(self._machines[np.argmax(loads)])
             self.ledger.violations.append(
                 {"round": round_index, "machine": offender, "words": max_per_machine})
             if self.cfg.enforce_capacity:

@@ -4,8 +4,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from walkstitch import cli, engine
-from walkstitch.fixtures import gnp, two_cliques
+from walkstitch import cli, engine, oracle
+from walkstitch.fixtures import gnp, path_graph, two_cliques
 from walkstitch.graph import save_cache
 
 
@@ -230,7 +230,7 @@ class TestWalks:
                      "--target", 5, "--seed", 1)
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: length 32768 exceeds 2^14, as labels are int16\n")
+            "error: length 32768 exceeds 2^14\n")
 
     @pytest.mark.parametrize("b0,rc_expected", [(40, 0), (20, 1)])
     def test_bucketed_abort(self, b0, rc_expected, c8_file, tmp_path, capsys):
@@ -350,6 +350,16 @@ class TestWalks:
         assert rc == 2
         assert f"error: {budgets}:2:" in capsys.readouterr().err
 
+    def test_negative_budget_exit_2(self, cliques_cache, tmp_path, capsys):
+        budgets = tmp_path / "b.txt"
+        budgets.write_text("1 50\n16 -5\n")
+        report = tmp_path / "r.json"
+        rc = run_cli("walks", "--graph", cliques_cache, "--budgets", budgets,
+                     "--length", 4, "--seed", 3, "--report", report)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: budgets must be non-negative\n"
+        assert not report.exists()
+
     def test_repeated_budget_vertex_exit_2(self, cliques_cache, tmp_path, capsys):
         budgets = tmp_path / "b.txt"
         budgets.write_text("0 5\n# comment\n0 7\n")
@@ -379,19 +389,28 @@ class TestCsvBytes:
 
 @pytest.mark.parametrize("alpha", [1.0, 0.2])
 @pytest.mark.parametrize("vertex", [-1, 8])
-@pytest.mark.parametrize("command", ["ppr", "cluster"])
+@pytest.mark.parametrize("command", ["ppr", "cluster", "walks"])
 def test_vertex_out_of_range_exit_2(command, vertex, alpha, tmp_path, capsys):
     cache = tmp_path / "g.lwg"
     save_cache(two_cliques(4), str(cache))   # n = 8
     out = tmp_path / "out.txt"
+    ppr_args = ["--alpha", alpha, "--T", 4, "--M", 50]
     if command == "ppr":
-        args = ["--root", vertex, "--target", 100, "--laziness", "half", "--verify"]
-    else:
-        args = ["--seed-vertex", vertex, "--target-volume", 13]
-    rc = run_cli(command, "--graph", cache, *args, "--alpha", alpha, "--T", 4,
-                 "--M", 50, "--seed", 1, "--out", out, "--report", tmp_path / "r.json")
+        args = ["--root", vertex, "--target", 100, "--laziness", "half", "--verify",
+                *ppr_args]
+    elif command == "cluster":
+        args = ["--seed-vertex", vertex, "--target-volume", 13, *ppr_args]
+    else:   # a multi-source budget file; walks takes no alpha
+        budgets = tmp_path / "b.txt"
+        budgets.write_text(f"0 10\n{vertex} 10\n")
+        args = ["--budgets", budgets, "--length", 4]
+    rc = run_cli(command, "--graph", cache, *args, "--seed", 1, "--out", out,
+                 "--report", tmp_path / "r.json")
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if command == "walks":
+        assert err == f"error: root {vertex} out of range [0, 8)\n"
     assert not out.exists()
 
 
@@ -465,7 +484,8 @@ class TestPPRCommand:
     # does not join them, so the step 1 -> 20 is not an edge
     @pytest.mark.parametrize("bad,message", [("x", ":2: expected 64-bit integers"),
                                              ("30", ": vertex ids must lie in [0, 30)"),
-                                             ("20", ": a walk step is not an edge of the graph")])
+                                             ("20", ": a walk step is not an edge of the graph"),
+                                             ("1 1", ":2: inconsistent walk length")])
     def test_bad_walk_vertex_exit_2(self, bad, message, cliques_cache, tmp_path, capsys):
         wfile = tmp_path / "w.txt"
         wfile.write_text(f"1 1 ok 1 1 1\n1 1 ok 1 {bad} 1\n")
@@ -474,6 +494,17 @@ class TestPPRCommand:
                      "--seed", 6)
         assert rc == 2
         assert f"error: {wfile}{message}" in capsys.readouterr().err
+
+    def test_verify_cap_checked_before_engine(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_budgeted", None)  # any engine call would raise
+        cache = tmp_path / "path.lwg"
+        save_cache(path_graph(oracle.ORACLE_MAX_N + 6), str(cache))
+        report = tmp_path / "r.json"
+        rc = run_cli("ppr", "--graph", cache, "--root", 0, "--alpha", 0.2, "--T", 4,
+                     "--M", 10, "--target", 20, "--seed", 1, "--verify", "--report", report)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --verify needs n <= {oracle.ORACLE_MAX_N}\n"
+        assert not report.exists()
 
     def test_no_walks_no_engine_params_exit_2(self, cliques_cache):
         rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1,

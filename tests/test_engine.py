@@ -42,9 +42,9 @@ class TestTheoryParams:
 
     def test_length_limited_by_int16_labels(self):
         assert desk_params(length=1 << 14, target=10).length == 1 << 14
-        with pytest.raises(ParameterError, match=r"exceeds 2\^14, as labels are int16"):
+        with pytest.raises(ParameterError, match=r"^length 32768 exceeds 2\^14$"):
             desk_params(length=(1 << 14) + 1, target=10)   # rounds up to 2^15
-        with pytest.raises(ParameterError, match="int16"):
+        with pytest.raises(ParameterError, match=r"^length 32768 exceeds 2\^14$"):
             theory_params(100, 1 << 15, 2.0, target=10)
 
     def test_growth_must_exceed_one(self):
@@ -715,6 +715,16 @@ class TestStitch:
             assert np.array_equal(res._segments(rows, level, ref[:, 0], ref[:, -1]), ref)
         assert np.array_equal(res.walks(rows), ref)   # the last case: finished walks
         assert np.array_equal(res.verts, every)    # all of them, from contiguous slices
+
+    def test_walk_rows_outside_the_tree_raise(self):
+        g = cycle_graph(8)
+        p = desk_params(length=4, target=1, base_budget=3.0, tau=1.0)
+        res = stitch(g, initial_budgets(g, p), p, Cluster(), master_seed=3)
+        count = res.ends.size
+        assert count > 0
+        for row in (-1, count):
+            with pytest.raises(IndexError, match=rf"^rows must lie in \[0, {count}\)$"):
+                res.walks(np.array([0, row]))
 
 
 def leaf_ids(pairs, rows, level) -> np.ndarray:
