@@ -11,11 +11,12 @@ flags win. store_true flags are written `strict=true`.
 Exit codes: 0 success; 1 algorithmic failure (abort-mode stitch failure,
 fewer usable walks than --M, a failing oracle check, budgets whose segments
 do not fit in memory or in int32 indices); 2 usage or parse error
-(bad flag or config line; --seed outside [0, 2^64); --root or --seed-vertex
+(bad flag or config line; --root with --budgets, or --walks with --target;
+--seed outside [0, 2^64); --root, --seed-vertex or a budget-file vertex
 outside the graph; length above 2^14; malformed, non-UTF-8 or missing input
-file, or a vertex twice in a budget file; a graph cache that is truncated,
-corrupt, or has unsorted, duplicate, self-loop or one-way adjacency); 3
-capacity violation in strict mode.
+file, a negative budget or a vertex twice in a budget file; a graph cache
+that is truncated, corrupt, or has unsorted, duplicate, self-loop or one-way
+adjacency); 3 capacity violation in strict mode.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from . import __version__, fixtures, oracle
-from .engine import (EngineError, ParameterError, StitchParams, desk_params,
-                     run_budgeted, run_multi_source, theory_params,
-                     uniform_stitching, validate_walks)
+from .engine import (FAIL_POLICIES, LAZINESS, MODES, EngineError, ParameterError,
+                     StitchParams, desk_params, run_budgeted, run_multi_source,
+                     theory_params, uniform_stitching, validate_walks)
 from .graph import Graph, GraphError, load_cache, load_edge_list, save_cache
 from .mpc import CapacityError, Cluster, ClusterConfig, ClusterConfigError
-from .ppr import (PPRError, PPRParams, WalkBatch, WalkShortfall, approx_ppr,
-                  local_cluster, sweep)
+from .ppr import (DESK_CLUSTER_M, DESK_CLUSTER_T, PPRError, PPRParams, WalkBatch,
+                  WalkShortfall, approx_ppr, local_cluster, sweep)
 from .vectors import ScoreVector
 
 EXIT_OK = 0
@@ -130,14 +131,14 @@ def _json_fraction(obj: object) -> List[int]:
 
 
 def write_report(path: str | None, payload: dict, args: argparse.Namespace,
-                 wall_clock: float | None = None) -> dict:
+                 wall_clock: float) -> None:
     report = {
         "version": __version__,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "config": resolved_config(args),
     }
     report.update(payload)
-    if wall_clock is not None and getattr(args, "timings", False):
+    if args.timings:
         report["wall_clock_sec"] = wall_clock
     text = json.dumps(report, indent=2, sort_keys=True, default=_json_fraction) + "\n"
     if path:
@@ -145,9 +146,8 @@ def write_report(path: str | None, payload: dict, args: argparse.Namespace,
             f.write(text)
     else:
         sys.stdout.write(text)
-    if wall_clock is not None and not getattr(args, "timings", False):
+    if not args.timings:
         print(f"wall clock: {wall_clock:.2f}s", file=sys.stderr)
-    return report
 
 
 def load_graph(path: str) -> Graph:
@@ -159,14 +159,19 @@ def load_graph(path: str) -> Graph:
         return load_edge_list(f)
 
 
-def read_budget_file(path: str) -> Dict[int, int]:
-    """Multi-source budgets from "vertex budget" lines, one line per vertex."""
+def read_budget_file(path: str, n: int) -> Dict[int, int]:
+    """Multi-source budgets from "vertex budget" lines, one line per vertex
+    of [0, n), each budget non-negative."""
     budgets: Dict[int, int] = {}
     for where, line in read_lines(path):
         toks = line.split()
         if len(toks) != 2:
             raise UsageError(f"{where}: expected 'vertex budget'")
         vertex, budget = to_ints(where, toks)
+        if not 0 <= vertex < n:
+            raise UsageError(f"{where}: vertex {vertex} out of range [0, {n})")
+        if budget < 0:
+            raise UsageError(f"{where}: budget {budget} is negative")
         if vertex in budgets:
             raise UsageError(f"{where}: vertex {vertex} already has a budget")
         budgets[vertex] = budget
@@ -236,8 +241,8 @@ def make_stitch_params(args, g: Graph) -> StitchParams:
 def add_run_args(p: argparse.ArgumentParser, csv_help: str) -> None:
     """Flags of every run command: graph, simulated cluster, seed, outputs."""
     p.add_argument("--graph", required=True, help="edge-list file or LWG1 cache")
-    p.add_argument("--machines", type=int, default=1)
-    p.add_argument("--capacity", type=int, default=1 << 62,
+    p.add_argument("--machines", type=int, default=ClusterConfig.num_machines)
+    p.add_argument("--capacity", type=int, default=ClusterConfig.machine_capacity,
                    help="words per machine per round")
     p.add_argument("--strict", action="store_true",
                    help="abort on capacity violation instead of recording it")
@@ -248,9 +253,12 @@ def add_run_args(p: argparse.ArgumentParser, csv_help: str) -> None:
                    help="embed wall clock in the report (breaks byte-reproducibility)")
 
 
-def add_engine_args(p: argparse.ArgumentParser) -> None:
+def add_engine_args(p: argparse.ArgumentParser, target_in=None) -> None:
+    """Engine flags; --target goes into `target_in` (a mutually exclusive
+    group) when one is given."""
     p.add_argument("--length", type=int, default=8, help="walk length (rounded to 2^j)")
-    p.add_argument("--target", type=int, default=1000, help="rooted walks wanted")
+    (target_in or p).add_argument("--target", type=int, default=1000,
+                                  help="rooted walks wanted")
     p.add_argument("--growth", type=float, default=10.0)
     p.add_argument("--param-mode", choices=("desk", "theory"), default="desk")
     p.add_argument("--theta", type=float, default=100.0)
@@ -258,10 +266,10 @@ def add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=1.4)
     p.add_argument("--confidence", type=float, default=1.0)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--mode", choices=("theory", "practical"), default="practical",
+    p.add_argument("--mode", choices=MODES, default="practical",
                    help="bucketed vs pooled serving (desk param-mode only)")
-    p.add_argument("--laziness", choices=("none", "half"), default="none")
-    p.add_argument("--fail-policy", choices=("abort", "tolerate"), default="tolerate")
+    p.add_argument("--laziness", choices=LAZINESS, default="none")
+    p.add_argument("--fail-policy", choices=FAIL_POLICIES, default="tolerate")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -290,7 +298,7 @@ def cmd_walks(args) -> int:
         for flag, value in (("--dump-budgets", args.dump_budgets), ("--csv", args.csv)):
             if value:
                 raise UsageError(f"{flag} does not apply to a --budgets (multi-source) run")
-        budgets = read_budget_file(args.budgets)
+        budgets = read_budget_file(args.budgets, g.n)
         multi = run_multi_source(g, budgets, params, cluster=cluster, seed=args.seed)
         wall = time.perf_counter() - t0
         if args.out:
@@ -308,8 +316,6 @@ def cmd_walks(args) -> int:
         write_report(args.report, payload, args, wall)
         return EXIT_OK
 
-    if args.root is None:
-        raise UsageError("need --root (or --budgets for multi-source)")
     run = run_budgeted(g, args.root, params, cluster=cluster, seed=args.seed)
     wall = time.perf_counter() - t0
     if args.out:
@@ -351,30 +357,27 @@ def cmd_ppr(args) -> int:
         pparams = PPRParams.desk(args.alpha, args.T, args.M)
 
     payload: Dict[str, object] = {}
-    if args.alpha >= 1.0:
-        q = ScoreVector.indicator(args.root, g.n)
-    else:
-        if args.walks:
-            verts = read_walk_file(args.walks, root=args.root)
-            if verts.min() < 0 or verts.max() >= g.n:
-                raise UsageError(f"{args.walks}: vertex ids must lie in [0, {g.n})")
-            lazy = args.laziness == "half"
-            if not validate_walks(g, verts, lazy=lazy):
-                raise UsageError(f"{args.walks}: a walk step is not an edge of the graph")
-            batch = WalkBatch(verts, lazy=lazy)
-        elif args.target is not None:
-            args_length = max(args.length, pparams.T)
-            engine_args = argparse.Namespace(**vars(args))
-            engine_args.length = args_length
-            engine_args.laziness = "half"
-            params = make_stitch_params(engine_args, g)
-            cluster = make_cluster(args)
-            run = run_budgeted(g, args.root, params, cluster=cluster, seed=args.seed)
-            batch = WalkBatch(run.walks, lazy=True)
-            payload["params"] = asdict(params)
-        else:
+    if args.walks:
+        verts = read_walk_file(args.walks, root=args.root)
+        if verts.min() < 0 or verts.max() >= g.n:
+            raise UsageError(f"{args.walks}: vertex ids must lie in [0, {g.n})")
+        lazy = args.laziness == "half"
+        if not validate_walks(g, verts, lazy=lazy):
+            raise UsageError(f"{args.walks}: a walk step is not an edge of the graph")
+        batch = WalkBatch(verts, lazy=lazy)
+    elif args.alpha < 1.0:
+        if args.target is None:
             raise UsageError("need --walks FILE or engine params (--target ...)")
-        q = approx_ppr(g, args.root, pparams, batch)
+        engine_args = argparse.Namespace(**vars(args))
+        engine_args.length = max(args.length, pparams.T)
+        engine_args.laziness = "half"
+        params = make_stitch_params(engine_args, g)
+        cluster = make_cluster(args)
+        run = run_budgeted(g, args.root, params, cluster=cluster, seed=args.seed)
+        batch = WalkBatch(run.walks, lazy=True)
+        payload["params"] = asdict(params)
+    q = (approx_ppr(g, args.root, pparams, batch) if args.alpha < 1.0
+         else ScoreVector.indicator(args.root, g.n))
 
     wall = time.perf_counter() - t0
     supp = q.support()
@@ -501,10 +504,6 @@ ORACLE_CHECKS = {
 
 def cmd_oracle_check(args) -> int:
     names = list(ORACLE_CHECKS) if args.fixture == "all" else [args.fixture]
-    for name in names:
-        if name not in ORACLE_CHECKS:
-            raise UsageError(f"unknown fixture {name!r}; "
-                             f"choose from {', '.join(ORACLE_CHECKS)} or all")
     failures = 0
     for name in names:
         ok = ORACLE_CHECKS[name]()
@@ -527,8 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walks", help="generate rooted walks")
     add_run_args(p, "per-cycle stats CSV (plot-ready)")
-    p.add_argument("--root", type=int)
-    p.add_argument("--budgets", help="multi-source budget file: 'vertex budget' lines")
+    roots = p.add_mutually_exclusive_group(required=True)
+    roots.add_argument("--root", type=int)
+    roots.add_argument("--budgets", help="multi-source budget file: 'vertex budget' lines")
     add_engine_args(p)
     p.add_argument("--out", help="walk output file")
     p.add_argument("--dump-budgets", help="final-cycle budget CSV")
@@ -539,11 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eta", type=float)
-    p.add_argument("--T", type=int, default=64)
-    p.add_argument("--M", type=int, default=50_000)
+    p.add_argument("--T", type=int, default=DESK_CLUSTER_T)
+    p.add_argument("--M", type=int, default=DESK_CLUSTER_M)
     p.add_argument("--ppr-mode", choices=("desk", "theory"), default="desk")
-    p.add_argument("--walks", help="reuse a walk file instead of running the engine")
-    add_engine_args(p)
+    walk_source = p.add_mutually_exclusive_group()
+    walk_source.add_argument("--walks",
+                             help="reuse a walk file instead of running the engine")
+    add_engine_args(p, walk_source)
     p.add_argument("--out", help="score CSV path")
     p.add_argument("--verify", action="store_true",
                    help="report max abs error vs the exact solver (small graphs)")
@@ -554,8 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-vertex", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--target-volume", type=int, required=True)
-    p.add_argument("--T", type=int, default=64)
-    p.add_argument("--M", type=int, default=50_000)
+    p.add_argument("--T", type=int, default=DESK_CLUSTER_T)
+    p.add_argument("--M", type=int, default=DESK_CLUSTER_M)
     p.add_argument("--out", help="cut set file, one vertex per line")
     p.set_defaults(func=cmd_cluster)
 
@@ -568,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare_baseline)
 
     p = sub.add_parser("oracle-check", help="run oracle-backed invariant suites")
-    p.add_argument("fixture", help=f"one of {', '.join(ORACLE_CHECKS)} or all")
+    p.add_argument("fixture", choices=[*ORACLE_CHECKS, "all"])
     p.set_defaults(func=cmd_oracle_check)
 
     return ap

@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import asdict
 
@@ -314,7 +315,21 @@ class TestWalks:
         assert not out.exists()
 
     def test_missing_root_exit_2(self, cliques_cache):
-        assert run_cli("walks", "--graph", cliques_cache, "--seed", 1) == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("walks", "--graph", cliques_cache, "--seed", 1)
+        assert exc.value.code == 2
+
+    def test_root_with_budgets_exit_2(self, cliques_cache, tmp_path, capsys):
+        # one source of roots: a --root beside a budget file is not ignored
+        budgets = tmp_path / "b.txt"
+        budgets.write_text("1 10\n")
+        report = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("walks", "--graph", cliques_cache, "--root", 5, "--budgets", budgets,
+                    "--length", 4, "--seed", 1, "--report", report)
+        assert exc.value.code == 2
+        assert "argument --budgets: not allowed with argument --root" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_zero_machines_exit_2(self, cliques_cache, capsys):
         rc = run_cli("walks", "--graph", cliques_cache, "--root", 0,
@@ -357,7 +372,19 @@ class TestWalks:
         rc = run_cli("walks", "--graph", cliques_cache, "--budgets", budgets,
                      "--length", 4, "--seed", 3, "--report", report)
         assert rc == 2
-        assert capsys.readouterr().err == "error: budgets must be non-negative\n"
+        assert capsys.readouterr().err == f"error: {budgets}:2: budget -5 is negative\n"
+        assert not report.exists()
+
+    def test_budget_file_checked_where_read(self, cliques_cache, tmp_path, capsys):
+        # zero budgets name vertices too: line 2's is outside the graph
+        budgets = tmp_path / "b.txt"
+        budgets.write_text("1 10\n99999 0\n-4 0\n")
+        report = tmp_path / "r.json"
+        rc = run_cli("walks", "--graph", cliques_cache, "--budgets", budgets,
+                     "--length", 4, "--seed", 3, "--report", report)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {budgets}:2: vertex 99999 out of range [0, 30)\n")
         assert not report.exists()
 
     def test_repeated_budget_vertex_exit_2(self, cliques_cache, tmp_path, capsys):
@@ -410,7 +437,7 @@ def test_vertex_out_of_range_exit_2(command, vertex, alpha, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     if command == "walks":
-        assert err == f"error: root {vertex} out of range [0, 8)\n"
+        assert err == f"error: {budgets}:2: vertex {vertex} out of range [0, 8)\n"
     assert not out.exists()
 
 
@@ -510,6 +537,29 @@ class TestPPRCommand:
         rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1,
                      "--alpha", 0.2, "--seed", 4)
         assert rc == 2
+
+    def test_walks_with_target_exit_2(self, cliques_cache, tmp_path, capsys):
+        # one source of walks: a --target beside a walk file is not ignored
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("1 1 ok 1 1 1\n")
+        report = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ppr", "--graph", cliques_cache, "--root", 1, "--alpha", 0.3,
+                    "--walks", wfile, "--target", 999999, "--seed", 6, "--report", report)
+        assert exc.value.code == 2
+        assert "argument --target: not allowed with argument --walks" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_alpha_one_reads_walk_file(self, cliques_cache, tmp_path, capsys):
+        # α = 1 needs no walks, but a named walk file is still read
+        missing = tmp_path / "absent.txt"
+        report = tmp_path / "r.json"
+        rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1, "--alpha", 1.0,
+                     "--walks", missing, "--seed", 6, "--report", report)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+        assert not report.exists()
 
     def test_theory_mode_needs_eta(self, cliques_cache, capsys):
         rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1, "--alpha", 0.2,
@@ -623,7 +673,9 @@ class TestOracleCheck:
             assert capsys.readouterr().out == f"{name:<14} PASS\n"
 
     def test_unknown_fixture_exit_2(self):
-        assert run_cli("oracle-check", "nope") == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("oracle-check", "nope")
+        assert exc.value.code == 2
 
 
 class TestConfigFile:
@@ -682,7 +734,17 @@ class TestConfigFile:
         ("false", False), ("0", False), ("off", False), ("", False)])
     def test_store_true_spellings(self, value, expected, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"strict={value}\n")
-        argv = cli.splice_config(["--config", str(cfg), "walks", "--graph", "g",
-                                  "--seed", "1"])
-        assert cli.build_parser().parse_args(argv).strict is expected
+        required = {"walks": ["--root", "0"], "ppr": ["--root", "0", "--alpha", "0.5"]}
+        for command, switch in [("walks", "strict"), ("walks", "timings"), ("ppr", "verify")]:
+            cfg.write_text(f"{switch}={value}\n")
+            argv = cli.splice_config(["--config", str(cfg), command, "--graph", "g",
+                                      *required[command], "--seed", "1"])
+            assert getattr(cli.build_parser().parse_args(argv), switch) is expected
+
+    def test_flag_keys_are_the_store_true_flags(self):
+        # read_config_file turns exactly these keys into bare switches
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        switches = {opt[2:] for sub in subparsers.choices.values() for a in sub._actions
+                    if isinstance(a, argparse._StoreTrueAction) for opt in a.option_strings}
+        assert cli._FLAG_KEYS == switches

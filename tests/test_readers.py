@@ -95,10 +95,11 @@ def test_walk_file(path, data, root):
 def test_budget_file(path, data):
     path.write_bytes(data)
     try:
-        budgets = cli.read_budget_file(str(path))
+        budgets = cli.read_budget_file(str(path), 3)
     except cli.UsageError:
         return
-    assert all(isinstance(v, int) and isinstance(b, int) for v, b in budgets.items())
+    assert all(isinstance(v, int) and isinstance(b, int) and 0 <= v < 3 and b >= 0
+               for v, b in budgets.items())
 
 
 CONFIG_KEYS = ["graph", "root", "target", "taget", "param_mode", "param-mode",
