@@ -12,10 +12,11 @@ Exit codes: 0 success; 1 algorithmic failure (abort-mode stitch failure,
 fewer usable walks than --M, a failing oracle check, budgets whose segments
 do not fit in memory or in int32 indices); 2 usage or parse error
 (bad flag or config line; --root with --budgets, or --walks with --target;
---seed outside [0, 2^64); --root, --seed-vertex or a budget-file vertex
-outside the graph; length above 2^14; malformed, non-UTF-8 or missing input
-file, a negative budget or a vertex twice in a budget file; a graph cache
-that is truncated, corrupt, or has unsorted, duplicate, self-loop or one-way
+ppr --eta without --ppr-mode theory, or --target with --alpha 1.0; --seed
+outside [0, 2^64); --root, --seed-vertex or a budget-file vertex outside
+the graph; length above 2^14; malformed, non-UTF-8 or missing input file, a
+negative budget or a vertex twice in a budget file; a graph cache that is
+truncated, corrupt, or has unsorted, duplicate, self-loop or one-way
 adjacency); 3 capacity violation in strict mode.
 """
 
@@ -353,8 +354,12 @@ def cmd_ppr(args) -> int:
         if args.eta is None:
             raise UsageError("theory mode needs --eta")
         pparams = PPRParams.theory(g.n, args.alpha, args.eta)
+    elif args.eta is not None:
+        raise UsageError("--eta is read only with --ppr-mode theory")
     else:
         pparams = PPRParams.desk(args.alpha, args.T, args.M)
+    if args.alpha == 1.0 and args.target is not None:
+        raise UsageError("--target is ignored with --alpha 1.0, which draws no walks")
 
     payload: Dict[str, object] = {}
     if args.walks:

@@ -42,11 +42,12 @@ gen.integers(0, degrees) and gen.random() < 0.5 over all segments draw.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -62,6 +63,10 @@ _CHUNK = 1 << 18   # segments or indices per slice of draws, gathers, scatters a
 # baseline
 _STITCH_BYTES = 17
 _MEMINFO = "/proc/meminfo"   # its MemAvailable line bounds that charge
+# glibc's mallopt parameters (malloc.h) and its DEFAULT_MMAP_THRESHOLD_MAX,
+# 32 MiB on 64-bit hosts: the ceiling its dynamic mmap threshold climbs to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
 
 LAZINESS = ("none", "half")
 MODES = ("theory", "practical")
@@ -287,8 +292,10 @@ def init_walks(g: Graph, budgets: np.ndarray, params: StitchParams,
     output. Slice temporaries take at most 16 bytes a segment of the slice
     (a uint32 degree and word and a uint64 product, then an int64 pick and
     offset or neighbor), and each slice's are freed before the next one
-    draws.
+    draws. The first call in a process pins glibc's malloc thresholds
+    (_pin_malloc_thresholds), so that freed arrays stop being re-faulted.
     """
+    _pin_malloc_thresholds()
     if budgets.shape != (g.n, params.length):
         raise EngineError("budget array shape does not match graph/params")
     per_vertex = budgets.sum(axis=1)
@@ -345,6 +352,31 @@ def _available_memory() -> int:
     except OSError:
         pass
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+@cache
+def _pin_malloc_thresholds() -> bool:
+    """Fix glibc's mmap threshold at _MMAP_THRESHOLD_MAX and its trim
+    threshold at twice that, once per process; True if glibc took both.
+
+    These are glibc's own dynamic rule (trim = 2 x mmap threshold) at its
+    ceiling, set from the start. Left dynamic, the thresholds let each
+    slice's, phase's and cycle's freed arrays go back to the kernel, to be
+    faulted in again by the next. Arrays of _MMAP_THRESHOLD_MAX or more
+    still go to mmap, and at most twice that of freed heap top is kept.
+    Without glibc (no mallopt or gnu_get_libc_version) nothing is set.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return False
+    if not all(hasattr(libc, f) for f in ("gnu_get_libc_version", "mallopt")):
+        return False
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+                and mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX))
 
 
 def _slice_runs(first: np.ndarray, a: int, b: int) -> Tuple[int, int, np.ndarray]:

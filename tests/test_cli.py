@@ -567,6 +567,19 @@ class TestPPRCommand:
         assert rc == 2
         assert capsys.readouterr().err == "error: theory mode needs --eta\n"
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--alpha", 0.2, "--eta", 0.5, "--target", 100],
+         "--eta is read only with --ppr-mode theory"),
+        (["--alpha", 1.0, "--target", 999],
+         "--target is ignored with --alpha 1.0, which draws no walks")])
+    def test_ignored_flag_exit_2(self, flags, message, cliques_cache, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1, *flags, "--seed", 1,
+                     "--report", report)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not report.exists()
+
     def test_theory_mode_target_below_m_exit_1(self, cliques_cache, tmp_path, capsys):
         report = tmp_path / "r.json"
         rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1, "--alpha", 0.2,

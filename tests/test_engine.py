@@ -1,7 +1,12 @@
+import ctypes
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -833,6 +838,64 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert ends.nbytes == 4 * segments
         assert peak <= 4 * segments + 16 * chunk + (1 << 18)
+
+
+def glibc_malloc_stats() -> bool:
+    """True where libc has glibc's mallopt and mallinfo2."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return False
+    return all(hasattr(libc, f) for f in ("gnu_get_libc_version", "mallopt", "mallinfo2"))
+
+
+# Ingests a graph, optionally runs a tiny stitch, then frees a touched 16 MiB
+# array and prints the heap top glibc could release (mallinfo2's keepcost)
+# and what the pinning helper returned, called twice.
+MALLOC_PROBE = """
+import ctypes, sys
+import numpy as np
+from walkstitch import engine, graph
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in ("arena", "ordblks", "smblks", "hblks",
+                "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes = ()
+mallinfo2.restype = Mallinfo2
+g = graph.load_edge_list("0 1\\n1 2\\n2 3\\n3 0\\n")
+pinned = []
+if sys.argv[1] == "stitch":
+    engine.run_budgeted(g, 0, engine.desk_params(length=4, target=10), seed=1)
+    pinned = [engine._pin_malloc_thresholds(), engine._pin_malloc_thresholds()]
+a = np.ones(16 << 20, dtype=np.uint8)
+del a
+print(mallinfo2().keepcost, *pinned)
+"""
+
+
+@pytest.mark.skipif(not glibc_malloc_stats(), reason="needs glibc's mallopt and mallinfo2")
+class TestMallocThresholds:
+    """The first stitch of a process fixes glibc's mmap threshold at 32 MiB
+    and its trim threshold at 64 MiB; importing walkstitch and ingesting a
+    graph leave the allocator's defaults alone."""
+
+    def probe(self, mode):
+        env = dict(os.environ, PYTHONPATH=str(Path(engine.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", MALLOC_PROBE, mode], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        return out.stdout.split()
+
+    def test_defaults_before_the_first_stitch(self):
+        # glibc's dynamic threshold starts at 128 KiB: the array is mmapped
+        keepcost, = self.probe("import")
+        assert int(keepcost) < 16 << 20
+
+    def test_freed_heap_kept_after_a_stitch(self):
+        keepcost, first, second = self.probe("stitch")
+        assert int(keepcost) >= 16 << 20
+        assert first == second == "True"
 
 
 class TestGroupByKey:
