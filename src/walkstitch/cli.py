@@ -1,9 +1,13 @@
 """Command-line driver: reproducible experiments with machine-readable reports.
 
 Subcommands: ingest, walks, ppr, cluster, compare-baseline, oracle-check.
-Every run command requires --seed; every JSON report embeds the resolved
-configuration, the seed, and the package version, so re-running a report's
-config reproduces it byte-identically. --config FILE (before the subcommand)
+Every run command requires --seed; every JSON report embeds the flags as
+typed (`config`, null for a tuning flag left to its mode's default), the
+seed, and the package version, so re-running a report's config reproduces
+it byte-identically; engine runs add the `params` that ran. The tuning
+flags' defaults are the signatures of the builder of the chosen mode
+(desk_params, theory_params, PPRParams.desk, PPRParams.theory), which get
+only the tuning flags that were typed. --config FILE (before the subcommand)
 reads key=value lines keyed by flag name; each becomes that flag right after
 the subcommand, so it is checked like one, an unknown key exits 2, and typed
 flags win. store_true flags are written `strict=true`.
@@ -12,7 +16,10 @@ Exit codes: 0 success; 1 algorithmic failure (abort-mode stitch failure,
 fewer usable walks than --M, a failing oracle check, budgets whose segments
 do not fit in memory or in int32 indices); 2 usage or parse error
 (bad flag or config line; --root with --budgets, or --walks with --target;
-ppr --eta without --ppr-mode theory, or --target with --alpha 1.0; --seed
+a typed flag the run does not read: a tuning flag the mode's builder does
+not take, --target with --budgets or --alpha 1.0, an engine flag other than
+--laziness with ppr --walks, a ppr engine run's --laziness other than half;
+ppr --ppr-mode theory without --eta; --seed
 outside [0, 2^64); --root, --seed-vertex or a budget-file vertex outside
 the graph; length above 2^14; malformed, non-UTF-8 or missing input file, a
 negative budget or a vertex twice in a budget file; a graph cache that is
@@ -23,6 +30,7 @@ adjacency); 3 capacity violation in strict mode.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -119,11 +127,6 @@ def splice_config(argv: List[str]) -> List[str]:
     return argv[:head] + read_config_file(known.config) + argv[head:]
 
 
-def resolved_config(args: argparse.Namespace) -> Dict[str, object]:
-    skip = {"func", "config"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
 def _json_fraction(obj: object) -> List[int]:
     """A Fraction as [numerator, denominator]; json.dumps rejects anything else."""
     if isinstance(obj, Fraction):
@@ -136,7 +139,7 @@ def write_report(path: str | None, payload: dict, args: argparse.Namespace,
     report = {
         "version": __version__,
         "seed": args.seed,
-        "config": resolved_config(args),
+        "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")},
     }
     report.update(payload)
     if args.timings:
@@ -228,15 +231,43 @@ def make_cluster(args) -> Cluster:
                                  enforce_capacity=args.strict))
 
 
-def make_stitch_params(args, g: Graph) -> StitchParams:
-    if args.param_mode == "theory":
-        return theory_params(g.n, args.length, args.growth, args.confidence,
-                             target=args.target, scale=args.scale,
-                             laziness=args.laziness, fail_policy=args.fail_policy)
-    return desk_params(length=args.length, target=args.target, growth=args.growth,
-                       threshold=args.theta, base_budget=args.b0, tau=args.tau,
-                       laziness=args.laziness, fail_policy=args.fail_policy,
-                       mode=args.mode)
+# Tuning flags default to None, so that the builder of the chosen mode
+# supplies the default of each one left untyped.
+ENGINE_FLAGS = ("growth", "theta", "b0", "tau", "mode", "confidence", "scale",
+                "laziness", "fail_policy")
+PPR_FLAGS = ("T", "M", "eta")
+KEYWORDS = {"theta": "threshold", "b0": "base_budget"}   # flag -> builder keyword
+ROOTED_TARGET = 1000   # --target's default for a run with one root
+
+
+def build(builder, context: str, args, flags: Sequence[str], **fixed):
+    """builder(**fixed) plus each of `flags` that was typed, under its builder
+    keyword; builder None takes no flag, and `fixed` is cut to the keywords
+    the builder takes. A typed flag the builder does not take or that
+    contradicts `fixed`, and an untyped one it requires, are UsageErrors
+    naming the flag."""
+    takes = inspect.signature(builder).parameters if builder else {}
+    kwargs = {k: v for k, v in fixed.items() if k in takes}
+    for dest in flags:
+        flag, key = "--" + dest.replace("_", "-"), KEYWORDS.get(dest, dest)
+        value = getattr(args, dest)
+        if value is None:
+            if key in takes and takes[key].default is inspect.Parameter.empty:
+                raise UsageError(f"{context} needs {flag}")
+            continue
+        if key not in takes:
+            raise UsageError(f"{flag} is not read with {context}")
+        if key in fixed and fixed[key] != value:
+            raise UsageError(f"{context} runs {flag} {fixed[key]}, not {value}")
+        kwargs[key] = value
+    return builder(**kwargs) if builder else None
+
+
+def stitch_params(args, g: Graph, **fixed) -> StitchParams:
+    """The engine parameters of --param-mode, from the typed engine flags."""
+    return build(theory_params if args.param_mode == "theory" else desk_params,
+                 f"{args.command} --param-mode {args.param_mode}", args, ENGINE_FLAGS,
+                 **{"n": g.n, "length": args.length, "target": args.target, **fixed})
 
 
 def add_run_args(p: argparse.ArgumentParser, csv_help: str) -> None:
@@ -256,21 +287,17 @@ def add_run_args(p: argparse.ArgumentParser, csv_help: str) -> None:
 
 def add_engine_args(p: argparse.ArgumentParser, target_in=None) -> None:
     """Engine flags; --target goes into `target_in` (a mutually exclusive
-    group) when one is given."""
+    group) when one is given. The ENGINE_FLAGS have no parser default."""
     p.add_argument("--length", type=int, default=8, help="walk length (rounded to 2^j)")
-    (target_in or p).add_argument("--target", type=int, default=1000,
+    (target_in or p).add_argument("--target", type=int, default=ROOTED_TARGET,
                                   help="rooted walks wanted")
-    p.add_argument("--growth", type=float, default=10.0)
+    p.add_argument("--growth", type=float)
     p.add_argument("--param-mode", choices=("desk", "theory"), default="desk")
-    p.add_argument("--theta", type=float, default=100.0)
-    p.add_argument("--b0", type=float, default=20.0)
-    p.add_argument("--tau", type=float, default=1.4)
-    p.add_argument("--confidence", type=float, default=1.0)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--mode", choices=MODES, default="practical",
-                   help="bucketed vs pooled serving (desk param-mode only)")
-    p.add_argument("--laziness", choices=LAZINESS, default="none")
-    p.add_argument("--fail-policy", choices=FAIL_POLICIES, default="tolerate")
+    for flag in ("--theta", "--b0", "--tau", "--confidence", "--scale"):
+        p.add_argument(flag, type=float)
+    p.add_argument("--mode", choices=MODES, help="bucketed vs pooled serving (desk only)")
+    p.add_argument("--laziness", choices=LAZINESS)
+    p.add_argument("--fail-policy", choices=FAIL_POLICIES)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -293,12 +320,14 @@ def _write_csv(path: str, header: str, rows) -> None:
 def cmd_walks(args) -> int:
     g = load_graph(args.graph)
     cluster = make_cluster(args)
-    params = make_stitch_params(args, g)
+    if args.budgets:
+        build(None, "walks --budgets", args, ("target", "dump_budgets", "csv"))
+    elif args.target is None:   # --target is None only so that --budgets can refuse it
+        args.target = ROOTED_TARGET
+    # a --budgets run's dyadic groups each run their own largest budget as target
+    params = stitch_params(args, g, target=1 if args.budgets else args.target)
     t0 = time.perf_counter()
     if args.budgets:
-        for flag, value in (("--dump-budgets", args.dump_budgets), ("--csv", args.csv)):
-            if value:
-                raise UsageError(f"{flag} does not apply to a --budgets (multi-source) run")
         budgets = read_budget_file(args.budgets, g.n)
         multi = run_multi_source(g, budgets, params, cluster=cluster, seed=args.seed)
         wall = time.perf_counter() - t0
@@ -309,7 +338,7 @@ def cmd_walks(args) -> int:
                                        for root in sorted(multi.walks_by_root)))
         payload = {
             "metrics": asdict(multi.metrics),
-            "params": asdict(params),
+            "params": {k: v for k, v in asdict(params).items() if k != "target"},
             "shortfall": {str(k): v for k, v in sorted(multi.shortfall.items())},
             "walks_per_root": {str(k): int(multi.walks_by_root[k].shape[0])
                                for k in sorted(multi.walks_by_root)},
@@ -350,19 +379,13 @@ def cmd_ppr(args) -> int:
     if not 0 <= args.root < g.n:
         raise UsageError(f"--root {args.root} out of range [0, {g.n})")
     t0 = time.perf_counter()
-    if args.ppr_mode == "theory":
-        if args.eta is None:
-            raise UsageError("theory mode needs --eta")
-        pparams = PPRParams.theory(g.n, args.alpha, args.eta)
-    elif args.eta is not None:
-        raise UsageError("--eta is read only with --ppr-mode theory")
-    else:
-        pparams = PPRParams.desk(args.alpha, args.T, args.M)
-    if args.alpha == 1.0 and args.target is not None:
-        raise UsageError("--target is ignored with --alpha 1.0, which draws no walks")
+    pparams = build(PPRParams.theory if args.ppr_mode == "theory" else PPRParams.desk,
+                    f"ppr --ppr-mode {args.ppr_mode}", args, PPR_FLAGS, n=g.n, alpha=args.alpha)
 
     payload: Dict[str, object] = {}
     if args.walks:
+        # --laziness says whether the file's walks are lazy
+        build(None, "ppr --walks", args, [f for f in ENGINE_FLAGS if f != "laziness"])
         verts = read_walk_file(args.walks, root=args.root)
         if verts.min() < 0 or verts.max() >= g.n:
             raise UsageError(f"{args.walks}: vertex ids must lie in [0, {g.n})")
@@ -373,14 +396,12 @@ def cmd_ppr(args) -> int:
     elif args.alpha < 1.0:
         if args.target is None:
             raise UsageError("need --walks FILE or engine params (--target ...)")
-        engine_args = argparse.Namespace(**vars(args))
-        engine_args.length = max(args.length, pparams.T)
-        engine_args.laziness = "half"
-        params = make_stitch_params(engine_args, g)
-        cluster = make_cluster(args)
-        run = run_budgeted(g, args.root, params, cluster=cluster, seed=args.seed)
+        params = stitch_params(args, g, length=max(args.length, pparams.T), laziness="half")
+        run = run_budgeted(g, args.root, params, cluster=make_cluster(args), seed=args.seed)
         batch = WalkBatch(run.walks, lazy=True)
         payload["params"] = asdict(params)
+    else:   # --alpha 1.0 draws no walks
+        build(None, "ppr --alpha 1.0", args, ("target", *ENGINE_FLAGS))
     q = (approx_ppr(g, args.root, pparams, batch) if args.alpha < 1.0
          else ScoreVector.indicator(args.root, g.n))
 
@@ -424,13 +445,13 @@ def cmd_cluster(args) -> int:
 def cmd_compare_baseline(args) -> int:
     g = load_graph(args.graph)
     t0 = time.perf_counter()
-    params = make_stitch_params(args, g)
+    params = stitch_params(args, g)
     local = run_budgeted(g, args.root, params, cluster=make_cluster(args),
                          seed=args.seed)
     b0_uniform = max(1, -(-args.target // int(g.degrees[args.root])))  # ceil
     baseline = uniform_stitching(g, b0_uniform, params.length,
                                  cluster=make_cluster(args), seed=args.seed,
-                                 tau=args.baseline_tau, laziness=args.laziness)
+                                 tau=args.baseline_tau, laziness=params.laziness)
     wall = time.perf_counter() - t0
     ratio = baseline.total_budget / local.metrics.total_budget
     # each algorithm's numbers, in CSV column order
@@ -458,8 +479,7 @@ def cmd_compare_baseline(args) -> int:
 
 def _check_c8_walks() -> bool:
     g = fixtures.cycle_graph(8)
-    params = desk_params(length=4, target=10_000, growth=10.0, threshold=10.0,
-                         base_budget=20.0, tau=1.5)
+    params = desk_params(length=4, target=10_000, threshold=10.0, tau=1.5)
     run = run_budgeted(g, 0, params, seed=7)
     if run.walks.shape[0] < 10_000 or not validate_walks(g, run.walks, False):
         return False
@@ -537,15 +557,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_args(p)
     p.add_argument("--out", help="walk output file")
     p.add_argument("--dump-budgets", help="final-cycle budget CSV")
-    p.set_defaults(func=cmd_walks)
+    p.set_defaults(func=cmd_walks, target=None)
 
     p = sub.add_parser("ppr", help="approximate personalized PageRank")
     add_run_args(p, "alias of --out (plot-ready scores)")
     p.add_argument("--root", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eta", type=float)
-    p.add_argument("--T", type=int, default=DESK_CLUSTER_T)
-    p.add_argument("--M", type=int, default=DESK_CLUSTER_M)
+    p.add_argument("--T", type=int)
+    p.add_argument("--M", type=int)
     p.add_argument("--ppr-mode", choices=("desk", "theory"), default="desk")
     walk_source = p.add_mutually_exclusive_group()
     walk_source.add_argument("--walks",

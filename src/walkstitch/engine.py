@@ -152,9 +152,9 @@ class StitchParams:
         return self.laziness == "half"
 
 
-def theory_params(n: int, length: int, growth: float, confidence: float = 1.0, *,
+def theory_params(n: int, length: int, growth: float = 10.0, confidence: float = 1.0, *,
                   target: int, scale: float = 1.0, laziness: str = "none",
-                  fail_policy: str = "abort") -> StitchParams:
+                  fail_policy: str = "tolerate") -> StitchParams:
     """Analysis-grade parameter settings (natural logarithm throughout).
 
     threshold = scale * 10 * C * L^2 * ln n
@@ -165,6 +165,10 @@ def theory_params(n: int, length: int, growth: float, confidence: float = 1.0, *
     feasible; the no-fail algebra needs base >= 3*growth*threshold *
     sqrt(threshold / (20*C*ln n)), which is checked and warned about here
     (it holds automatically for scale <= 2).
+
+    The signature is the one statement of the CLI's --param-mode theory
+    defaults: that mode reads --growth, --confidence, --scale, --laziness
+    and --fail-policy, under these names.
     """
     if n < 2:
         raise ParameterError("n must be >= 2")
@@ -190,10 +194,15 @@ def theory_params(n: int, length: int, growth: float, confidence: float = 1.0, *
 
 
 def desk_params(length: int, target: int, *, growth: float = 10.0,
-                threshold: float = 30.0, base_budget: float = 20.0,
+                threshold: float = 100.0, base_budget: float = 20.0,
                 tau: float = 1.4, laziness: str = "none",
                 fail_policy: str = "tolerate", mode: str = "practical") -> StitchParams:
-    """Hand-tuned constants for desk-scale experiments."""
+    """Hand-tuned constants for desk-scale experiments.
+
+    The signature is the one statement of the CLI's --param-mode desk
+    defaults: that mode reads --growth, --theta (threshold), --b0
+    (base_budget), --tau, --laziness, --fail-policy and --mode.
+    """
     return StitchParams(length=round_length(length), target=target, growth=growth,
                         threshold=threshold, base_budget=base_budget, surplus=tau,
                         laziness=laziness, mode=mode, fail_policy=fail_policy)
@@ -1057,8 +1066,7 @@ def uniform_stitching(g: Graph, b0_per_degree: float, length: int,
         raise ParameterError("tau must be finite and >= 1")
     length = round_length(length)
     params = StitchParams(length=length, target=1, growth=2.0, threshold=1.0,
-                          base_budget=float(b0_per_degree), surplus=tau,
-                          laziness=laziness, mode="practical", fail_policy="tolerate")
+                          base_budget=float(b0_per_degree), surplus=tau, laziness=laziness)
     budgets = _budget_from_float(g, np.outer(b0_per_degree * g.degrees.astype(float),
                                              _theory_multipliers(tau, length)))
     total = int(budgets.sum())

@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from .engine import desk_params, round_length, run_budgeted
+from .engine import desk_params, run_budgeted
 from .graph import Graph
 from .mpc import Cluster
 from .vectors import ScoreVector
@@ -32,6 +32,10 @@ class PPRError(ValueError):
 
 class WalkShortfall(PPRError):
     """Fewer usable walks than the M the estimate needs."""
+
+
+DESK_CLUSTER_T = 64
+DESK_CLUSTER_M = 50_000
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,8 @@ class PPRParams:
     @classmethod
     def theory(cls, n: int, alpha: float, eta: float) -> "PPRParams":
         """T = ceil(10 ln n / alpha), M = ceil(10^6 ln^3 n / (eta^2 alpha^2))
-        for additive error target eta."""
+        for additive error target eta, which the CLI's --ppr-mode theory
+        requires."""
         if not 0 < eta < math.inf:
             raise PPRError("eta must be finite and positive")
         log_n = math.log(n)
@@ -60,7 +65,9 @@ class PPRParams:
         return cls(alpha=alpha, T=T, M=M)
 
     @classmethod
-    def desk(cls, alpha: float, T: int, M: int) -> "PPRParams":
+    def desk(cls, alpha: float, T: int = DESK_CLUSTER_T,
+             M: int = DESK_CLUSTER_M) -> "PPRParams":
+        """T and M as given; their defaults are the CLI's under --ppr-mode desk."""
         return cls(alpha=alpha, T=T, M=M)
 
 
@@ -158,10 +165,6 @@ def sweep(g: Graph, q: ScoreVector) -> SweepResult:
                        phi_exact=phi_exact)
 
 
-DESK_CLUSTER_T = 64
-DESK_CLUSTER_M = 50_000
-
-
 @dataclass
 class LocalClusterResult:
     seed_vertex: int
@@ -209,9 +212,8 @@ def local_cluster(g: Graph, seed_vertex: int, alpha: float, target_volume: int, 
         # 10% head-room over M so tolerated failures still leave M usable walks;
         # base_budget sized so the stationary floor covers demand until visit
         # counts reach the threshold (assumes seed degree ~10+; tune otherwise)
-        wp = desk_params(length=round_length(T), target=int(math.ceil(1.1 * M)),
-                         growth=4.0, threshold=10.0, base_budget=60.0, tau=1.15,
-                         laziness="half", fail_policy="tolerate", mode="practical")
+        wp = desk_params(length=T, target=int(math.ceil(1.1 * M)), growth=4.0,
+                         threshold=10.0, base_budget=60.0, tau=1.15, laziness="half")
         run = run_budgeted(g, seed_vertex, wp, cluster=cluster, seed=seed)
         q = approx_ppr(g, seed_vertex, pparams, WalkBatch(run.walks, lazy=True))
         walks_ok = run.walks.shape[0]

@@ -1,11 +1,12 @@
 import argparse
+import inspect
 import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from walkstitch import cli, engine, oracle
+from walkstitch import cli, engine, oracle, ppr
 from walkstitch.fixtures import gnp, path_graph, two_cliques
 from walkstitch.graph import save_cache
 
@@ -194,11 +195,10 @@ class TestWalks:
         assert data["metrics"]["rooted_ok"] >= 8
         assert data["walks_valid"] is True
         # the report shows the derived parameters that ran, not the desk flags
-        ran = engine.theory_params(8, 2, 2.0, 1.5, target=8, scale=0.01,
-                                   fail_policy="tolerate")
+        ran = engine.theory_params(8, 2, 2.0, 1.5, target=8, scale=0.01)
         assert data["params"]["mode"] == "theory"
         assert data["params"]["threshold"] == ran.threshold
-        assert ran.threshold != data["config"]["theta"]
+        assert data["config"]["theta"] is None
         assert data["params"] == asdict(ran)
 
     def test_timings_in_report(self, c8_file, tmp_path, capsys):
@@ -297,6 +297,8 @@ class TestWalks:
         assert set(data["walks_per_root"]) == {"1", "16"}
         assert data["shortfall"] == {"1": 0, "16": 0}
         assert data["params"]["threshold"] == 20 and data["params"]["length"] == 4
+        # each dyadic group runs its own largest budget, so no one target ran
+        assert "target" not in data["params"] and data["config"]["target"] is None
 
     @pytest.mark.parametrize("seed, rc", [(-1, 2), (0, 0), ((1 << 64) - 1, 0), (1 << 64, 2)])
     def test_seed_range(self, seed, rc, path_graph_file, tmp_path, capsys):
@@ -474,6 +476,68 @@ def test_non_finite_parameter_exit_2(argv, path_graph_file, tmp_path, capsys):
     assert not report.exists()
 
 
+# G is two_cliques(15), P the 3-vertex path (theory budgets stay small at
+# length 2), W a file of lazy walks from vertex 1 of G, B a budget file. Where
+# several flags are unread, the error names the first in ENGINE_FLAGS.
+@pytest.mark.parametrize("argv, message", [
+    ("walks --graph P --root 0 --length 2 --param-mode theory --theta 5 --b0 3 --tau 9 "
+     "--mode practical", "--theta is not read with walks --param-mode theory"),
+    ("walks --graph P --root 0 --length 2 --param-mode theory --mode practical",
+     "--mode is not read with walks --param-mode theory"),
+    ("walks --graph G --root 0 --confidence 7 --scale 0.5",
+     "--confidence is not read with walks --param-mode desk"),
+    ("compare-baseline --graph P --root 0 --length 2 --param-mode theory --b0 3",
+     "--b0 is not read with compare-baseline --param-mode theory"),
+    ("walks --graph G --budgets B --length 4 --theta 20 --b0 10 --target 999",
+     "--target is not read with walks --budgets"),
+    ("ppr --graph G --root 1 --alpha 0.3 --T 2 --M 2 --walks W --laziness half --theta 5 "
+     "--mode theory --growth 3", "--growth is not read with ppr --walks"),
+    ("ppr --graph G --root 1 --alpha 1.0 --theta 5",
+     "--theta is not read with ppr --alpha 1.0"),
+    ("ppr --graph G --root 1 --alpha 1.0 --target 999",
+     "--target is not read with ppr --alpha 1.0"),
+    ("ppr --graph G --root 1 --alpha 0.2 --T 4 --M 50 --length 4 --target 60 --theta 10 "
+     "--b0 60 --laziness none", "ppr --param-mode desk runs --laziness half, not none"),
+    ("ppr --graph G --root 1 --alpha 0.2 --eta 0.5 --target 100",
+     "--eta is not read with ppr --ppr-mode desk"),
+    ("ppr --graph G --root 1 --alpha 1.0 --ppr-mode theory --eta 0.5 --T 8",
+     "--T is not read with ppr --ppr-mode theory"),
+    ("ppr --graph G --root 1 --alpha 1.0 --ppr-mode theory --eta 0.5 --M 8",
+     "--M is not read with ppr --ppr-mode theory"),
+], ids=["walks-theory-theta", "walks-theory-mode", "walks-desk-confidence",
+        "compare-baseline-theory-b0", "walks-budgets-target", "ppr-walks-growth",
+        "ppr-alpha-one-theta", "ppr-alpha-one-target", "ppr-laziness-none", "ppr-desk-eta",
+        "ppr-theory-T", "ppr-theory-M"])
+def test_unread_flag_exit_2(argv, message, cliques_cache, path_graph_file, tmp_path,
+                            capsys):
+    files = {"G": cliques_cache, "P": path_graph_file,
+             "W": tmp_path / "w.txt", "B": tmp_path / "b.txt"}
+    files["W"].write_text("1 1 ok 1 1 1\n" * 3)
+    files["B"].write_text("1 10\n")
+    report = tmp_path / "r.json"
+    rc = run_cli(*(files.get(a, a) for a in argv.split()), "--seed", 1, "--report", report)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("graph, flags, builder", [
+    ("cliques_cache", [], lambda n: engine.desk_params(length=8, target=1000)),
+    # at length 8 the theory defaults budget about 4e8 segments even on C8
+    ("c8_file", ["--param-mode", "theory", "--length", 2],
+     lambda n: engine.theory_params(n, 2, target=1000))], ids=["desk", "theory"])
+def test_untyped_tuning_flags_run_the_builder_defaults(graph, flags, builder, request,
+                                                       tmp_path):
+    graph = request.getfixturevalue(graph)
+    report = tmp_path / "r.json"
+    assert run_cli("walks", "--graph", graph, "--root", 0, *flags, "--seed", 1,
+                   "--report", report) == 0
+    data = json.loads(report.read_text())
+    assert data["params"] == asdict(builder(cli.load_graph(graph).n))
+    assert all(data["config"][flag] is None for flag in cli.ENGINE_FLAGS)
+    assert data["config"]["target"] == 1000
+
+
 class TestPPRCommand:
     def test_alpha_one_single_row(self, cliques_cache, tmp_path):
         out = tmp_path / "q.csv"
@@ -565,20 +629,7 @@ class TestPPRCommand:
         rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1, "--alpha", 0.2,
                      "--ppr-mode", "theory", "--target", 100, "--seed", 1)
         assert rc == 2
-        assert capsys.readouterr().err == "error: theory mode needs --eta\n"
-
-    @pytest.mark.parametrize("flags,message", [
-        (["--alpha", 0.2, "--eta", 0.5, "--target", 100],
-         "--eta is read only with --ppr-mode theory"),
-        (["--alpha", 1.0, "--target", 999],
-         "--target is ignored with --alpha 1.0, which draws no walks")])
-    def test_ignored_flag_exit_2(self, flags, message, cliques_cache, tmp_path, capsys):
-        report = tmp_path / "r.json"
-        rc = run_cli("ppr", "--graph", cliques_cache, "--root", 1, *flags, "--seed", 1,
-                     "--report", report)
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not report.exists()
+        assert capsys.readouterr().err == "error: ppr --ppr-mode theory needs --eta\n"
 
     def test_theory_mode_target_below_m_exit_1(self, cliques_cache, tmp_path, capsys):
         report = tmp_path / "r.json"
@@ -761,3 +812,26 @@ class TestConfigFile:
         switches = {opt[2:] for sub in subparsers.choices.values() for a in sub._actions
                     if isinstance(a, argparse._StoreTrueAction) for opt in a.option_strings}
         assert cli._FLAG_KEYS == switches
+
+    def test_tuning_flags_have_no_parser_default(self):
+        # the builders' signatures state each default: a tuning flag defaults
+        # to None and names one of their keywords, and every other flag that
+        # names one is a run-shape flag. cluster builds no parameters: its
+        # --T/--M go to local_cluster.
+        builders = (engine.desk_params, engine.theory_params, ppr.PPRParams.desk,
+                    ppr.PPRParams.theory)
+        keywords = {k for b in builders for k in inspect.signature(b).parameters}
+        tuning = {*cli.ENGINE_FLAGS, *cli.PPR_FLAGS}
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        seen = set()
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions if name != "cluster" else ():
+                keyword = cli.KEYWORDS.get(action.dest, action.dest)
+                if action.dest in tuning:
+                    assert action.default is None and keyword in keywords, action.dest
+                    seen.add(action.dest)
+                else:
+                    assert keyword in {"length", "target", "alpha"} or \
+                        keyword not in keywords, action.dest
+        assert seen == tuning
