@@ -17,14 +17,15 @@ fewer usable walks than --M, a failing oracle check, budgets whose segments
 do not fit in memory or in int32 indices); 2 usage or parse error
 (bad flag or config line; --root with --budgets, or --walks with --target;
 a typed flag the run does not read: a tuning flag the mode's builder does
-not take, --target with --budgets or --alpha 1.0, an engine flag other than
---laziness with ppr --walks, a ppr engine run's --laziness other than half;
-ppr --ppr-mode theory without --eta; --seed
-outside [0, 2^64); --root, --seed-vertex or a budget-file vertex outside
-the graph; length above 2^14; malformed, non-UTF-8 or missing input file, a
-negative budget or a vertex twice in a budget file; a graph cache that is
-truncated, corrupt, or has unsorted, duplicate, self-loop or one-way
-adjacency); 3 capacity violation in strict mode.
+not take, --target with --budgets or --alpha 1.0, --param-mode theory or an
+engine flag other than --laziness with ppr --walks or --alpha 1.0, a ppr
+--laziness other than half, which every ppr run takes; ppr --ppr-mode theory
+without --eta; --seed outside [0, 2^64); --root, --seed-vertex or a
+budget-file vertex outside the graph; length above 2^14; malformed,
+non-UTF-8 or missing input file, a negative budget or a vertex twice in a
+budget file; a graph cache that is truncated, corrupt, or has unsorted,
+duplicate, self-loop or one-way adjacency); 3 capacity violation in strict
+mode.
 """
 
 from __future__ import annotations
@@ -243,11 +244,11 @@ ROOTED_TARGET = 1000   # --target's default for a run with one root
 def build(builder, context: str, args, flags: Sequence[str], **fixed):
     """builder(**fixed) plus each of `flags` that was typed, under its builder
     keyword; builder None takes no flag, and `fixed` is cut to the keywords
-    the builder takes. A typed flag the builder does not take or that
-    contradicts `fixed`, and an untyped one it requires, are UsageErrors
-    naming the flag."""
+    the builder takes. A typed flag that contradicts `fixed`, one that the
+    builder does not take and `fixed` does not name, and an untyped one the
+    builder requires, are UsageErrors naming the flag."""
     takes = inspect.signature(builder).parameters if builder else {}
-    kwargs = {k: v for k, v in fixed.items() if k in takes}
+    kwargs = dict(fixed)
     for dest in flags:
         flag, key = "--" + dest.replace("_", "-"), KEYWORDS.get(dest, dest)
         value = getattr(args, dest)
@@ -255,12 +256,12 @@ def build(builder, context: str, args, flags: Sequence[str], **fixed):
             if key in takes and takes[key].default is inspect.Parameter.empty:
                 raise UsageError(f"{context} needs {flag}")
             continue
-        if key not in takes:
-            raise UsageError(f"{flag} is not read with {context}")
         if key in fixed and fixed[key] != value:
             raise UsageError(f"{context} runs {flag} {fixed[key]}, not {value}")
+        if key not in takes and key not in fixed:
+            raise UsageError(f"{flag} is not read with {context}")
         kwargs[key] = value
-    return builder(**kwargs) if builder else None
+    return builder(**{k: v for k, v in kwargs.items() if k in takes}) if builder else None
 
 
 def stitch_params(args, g: Graph, **fixed) -> StitchParams:
@@ -287,10 +288,10 @@ def add_run_args(p: argparse.ArgumentParser, csv_help: str) -> None:
 
 def add_engine_args(p: argparse.ArgumentParser, target_in=None) -> None:
     """Engine flags; --target goes into `target_in` (a mutually exclusive
-    group) when one is given. The ENGINE_FLAGS have no parser default."""
+    group) when one is given. --target and the ENGINE_FLAGS have no parser
+    default."""
     p.add_argument("--length", type=int, default=8, help="walk length (rounded to 2^j)")
-    (target_in or p).add_argument("--target", type=int, default=ROOTED_TARGET,
-                                  help="rooted walks wanted")
+    (target_in or p).add_argument("--target", type=int, help="rooted walks wanted")
     p.add_argument("--growth", type=float)
     p.add_argument("--param-mode", choices=("desk", "theory"), default="desk")
     for flag in ("--theta", "--b0", "--tau", "--confidence", "--scale"):
@@ -322,7 +323,7 @@ def cmd_walks(args) -> int:
     cluster = make_cluster(args)
     if args.budgets:
         build(None, "walks --budgets", args, ("target", "dump_budgets", "csv"))
-    elif args.target is None:   # --target is None only so that --budgets can refuse it
+    elif args.target is None:   # a rooted run's default, recorded in `config`
         args.target = ROOTED_TARGET
     # a --budgets run's dyadic groups each run their own largest budget as target
     params = stitch_params(args, g, target=1 if args.budgets else args.target)
@@ -383,16 +384,18 @@ def cmd_ppr(args) -> int:
                     f"ppr --ppr-mode {args.ppr_mode}", args, PPR_FLAGS, n=g.n, alpha=args.alpha)
 
     payload: Dict[str, object] = {}
-    if args.walks:
-        # --laziness says whether the file's walks are lazy
-        build(None, "ppr --walks", args, [f for f in ENGINE_FLAGS if f != "laziness"])
+    if args.walks or args.alpha == 1.0:   # a run that builds no engine params
+        context = "ppr --walks" if args.walks else "ppr --alpha 1.0"
+        if args.param_mode != "desk":
+            raise UsageError(f"--param-mode is not read with {context}")
+        build(None, context, args, ("target", *ENGINE_FLAGS), laziness="half")
+    if args.walks:   # approx_ppr reads lazy walks only, so the file's are taken as lazy
         verts = read_walk_file(args.walks, root=args.root)
         if verts.min() < 0 or verts.max() >= g.n:
             raise UsageError(f"{args.walks}: vertex ids must lie in [0, {g.n})")
-        lazy = args.laziness == "half"
-        if not validate_walks(g, verts, lazy=lazy):
+        if not validate_walks(g, verts, lazy=True):
             raise UsageError(f"{args.walks}: a walk step is not an edge of the graph")
-        batch = WalkBatch(verts, lazy=lazy)
+        batch = WalkBatch(verts, lazy=True)
     elif args.alpha < 1.0:
         if args.target is None:
             raise UsageError("need --walks FILE or engine params (--target ...)")
@@ -400,8 +403,6 @@ def cmd_ppr(args) -> int:
         run = run_budgeted(g, args.root, params, cluster=make_cluster(args), seed=args.seed)
         batch = WalkBatch(run.walks, lazy=True)
         payload["params"] = asdict(params)
-    else:   # --alpha 1.0 draws no walks
-        build(None, "ppr --alpha 1.0", args, ("target", *ENGINE_FLAGS))
     q = (approx_ppr(g, args.root, pparams, batch) if args.alpha < 1.0
          else ScoreVector.indicator(args.root, g.n))
 
@@ -557,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_args(p)
     p.add_argument("--out", help="walk output file")
     p.add_argument("--dump-budgets", help="final-cycle budget CSV")
-    p.set_defaults(func=cmd_walks, target=None)
+    p.set_defaults(func=cmd_walks)
 
     p = sub.add_parser("ppr", help="approximate personalized PageRank")
     add_run_args(p, "alias of --out (plot-ready scores)")
@@ -574,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="score CSV path")
     p.add_argument("--verify", action="store_true",
                    help="report max abs error vs the exact solver (small graphs)")
-    p.set_defaults(func=cmd_ppr, target=None)
+    p.set_defaults(func=cmd_ppr)
 
     p = sub.add_parser("cluster", help="seeded sweep-cut clustering")
     add_run_args(p, "sweep prefix conductances CSV (plot-ready)")
@@ -592,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=int, required=True)
     add_engine_args(p)
     p.add_argument("--baseline-tau", type=float, default=1.0)
-    p.set_defaults(func=cmd_compare_baseline)
+    p.set_defaults(func=cmd_compare_baseline, target=ROOTED_TARGET)
 
     p = sub.add_parser("oracle-check", help="run oracle-backed invariant suites")
     p.add_argument("fixture", choices=[*ORACLE_CHECKS, "all"])

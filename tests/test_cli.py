@@ -492,8 +492,16 @@ def test_non_finite_parameter_exit_2(argv, path_graph_file, tmp_path, capsys):
      "--target is not read with walks --budgets"),
     ("ppr --graph G --root 1 --alpha 0.3 --T 2 --M 2 --walks W --laziness half --theta 5 "
      "--mode theory --growth 3", "--growth is not read with ppr --walks"),
+    ("ppr --graph G --root 1 --alpha 0.3 --T 2 --M 2 --walks W --laziness none",
+     "ppr --walks runs --laziness half, not none"),
+    ("ppr --graph G --root 1 --alpha 0.3 --T 2 --M 2 --walks W --param-mode theory",
+     "--param-mode is not read with ppr --walks"),
     ("ppr --graph G --root 1 --alpha 1.0 --theta 5",
      "--theta is not read with ppr --alpha 1.0"),
+    ("ppr --graph G --root 1 --alpha 1.0 --laziness none",
+     "ppr --alpha 1.0 runs --laziness half, not none"),
+    ("ppr --graph G --root 1 --alpha 1.0 --param-mode theory",
+     "--param-mode is not read with ppr --alpha 1.0"),
     ("ppr --graph G --root 1 --alpha 1.0 --target 999",
      "--target is not read with ppr --alpha 1.0"),
     ("ppr --graph G --root 1 --alpha 0.2 --T 4 --M 50 --length 4 --target 60 --theta 10 "
@@ -506,7 +514,8 @@ def test_non_finite_parameter_exit_2(argv, path_graph_file, tmp_path, capsys):
      "--M is not read with ppr --ppr-mode theory"),
 ], ids=["walks-theory-theta", "walks-theory-mode", "walks-desk-confidence",
         "compare-baseline-theory-b0", "walks-budgets-target", "ppr-walks-growth",
-        "ppr-alpha-one-theta", "ppr-alpha-one-target", "ppr-laziness-none", "ppr-desk-eta",
+        "ppr-walks-laziness-none", "ppr-walks-param-mode", "ppr-alpha-one-theta",
+        "ppr-alpha-one-laziness-none", "ppr-alpha-one-param-mode", "ppr-alpha-one-target", "ppr-laziness-none", "ppr-desk-eta",
         "ppr-theory-T", "ppr-theory-M"])
 def test_unread_flag_exit_2(argv, message, cliques_cache, path_graph_file, tmp_path,
                             capsys):
@@ -639,6 +648,19 @@ class TestPPRCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith("fail: need M=")
         assert not report.exists()
+
+    def test_walk_file_is_read_as_lazy(self, cliques_cache, tmp_path):
+        # the file's stay-put steps are lazy steps, with --laziness half or without
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("1 1 ok 1 1 1\n" * 3)
+        scores = []
+        for flags in ([], ["--laziness", "half"]):
+            out = tmp_path / f"q{len(scores)}.csv"
+            assert run_cli("ppr", "--graph", cliques_cache, "--root", 1, "--alpha", 0.3,
+                           "--T", 2, "--M", 3, "--walks", wfile, *flags, "--seed", 6,
+                           "--out", out) == 0
+            scores.append(out.read_text())
+        assert scores[0] == scores[1] and scores[0].count("\n") > 1
 
     def test_walks_file_reuse(self, cliques_cache, tmp_path):
         wfile = tmp_path / "w.txt"
